@@ -3,15 +3,13 @@
 //!
 //! Earlier revisions of this module owned a bespoke dispatcher and worker
 //! threads, then a single `Engine`; it is now a thin adapter over the
-//! shard router, which adds consistent-hash tenant placement, per-job
-//! Traditional-vs-HPS datapath dispatch (`Backend::Auto`), cost-aware
+//! shard router, which adds consistent-hash tenant placement, cost-aware
 //! scheduling, per-tenant key isolation and fleet telemetry. The public
 //! surface (requests over the §V-D wire format, per-response worker id
 //! and simulated coprocessor cost) is unchanged.
 
 use hefv_core::context::FvContext;
 use hefv_core::encrypt::Ciphertext;
-use hefv_core::eval::Backend;
 use hefv_core::keys::RelinKey;
 use hefv_core::wire::{decode_ciphertext, encode_ciphertext};
 use hefv_engine::{EngineConfig, EvalOp, EvalRequest, ShardRouter, ShardSpec, TenantKeys};
@@ -45,8 +43,8 @@ pub struct Response {
 }
 
 /// The cloud server: an engine shard behind the Fig. 11 API, fronted by
-/// the shard router so more parameter sets / datapath policies can join
-/// the fleet without touching this layer.
+/// the shard router so more parameter sets can join the fleet without
+/// touching this layer.
 pub struct CloudServer {
     ctx: Arc<FvContext>,
     router: Arc<ShardRouter>,
@@ -56,9 +54,9 @@ pub struct CloudServer {
 impl CloudServer {
     /// Spawns the server with `workers` engine workers (the paper places
     /// two coprocessors) sharing one evaluation context and
-    /// relinearization key. The shard runs `Backend::Auto`, so each job
-    /// executes on whichever Lift/Scale datapath the paper's cycle model
-    /// prices cheaper.
+    /// relinearization key. Every job runs on the HPS Lift/Scale
+    /// datapath, the faster one on the host at every supported ring
+    /// degree.
     ///
     /// # Panics
     ///
@@ -74,7 +72,6 @@ impl CloudServer {
                     workers,
                     threads_per_job: 1,
                     queue_capacity: 128,
-                    backend: Backend::Auto,
                     ..EngineConfig::default()
                 },
             })
@@ -332,8 +329,6 @@ mod tests {
             .per_op
             .iter()
             .any(|o| o.name == "mul" && o.count == 1));
-        // Auto dispatch ran the job on exactly one concrete datapath.
-        assert_eq!(stats.total.jobs_traditional + stats.total.jobs_hps, 1);
         server.shutdown();
     }
 }

@@ -1,8 +1,7 @@
 //! Shard-router throughput: mixed multi-tenant traffic through one engine
-//! vs a sharded fleet, and fixed-datapath vs `Backend::Auto` dispatch.
+//! vs a sharded fleet.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use hefv_core::eval::Backend;
 use hefv_core::galois::GaloisKeySet;
 use hefv_core::prelude::*;
 use hefv_engine::prelude::*;
@@ -44,7 +43,7 @@ fn fixture() -> Fixture {
     Fixture { ctx, keys, cts }
 }
 
-fn start_router(f: &Fixture, shards: usize, backend: Backend) -> ShardRouter {
+fn start_router(f: &Fixture, shards: usize) -> ShardRouter {
     let router = ShardRouter::new();
     for i in 0..shards {
         router
@@ -54,7 +53,6 @@ fn start_router(f: &Fixture, shards: usize, backend: Backend) -> ShardRouter {
                 config: EngineConfig {
                     workers: 2,
                     threads_per_job: 1,
-                    backend,
                     ..EngineConfig::default()
                 },
             })
@@ -103,7 +101,7 @@ fn bench_sharding(c: &mut Criterion) {
     g.sample_size(10)
         .throughput(Throughput::Elements(JOBS_PER_ITER));
     for shards in [1usize, 2, 4] {
-        let router = start_router(&f, shards, Backend::default());
+        let router = start_router(&f, shards);
         g.bench_function(&format!("mixed_burst/{shards}_shards"), |b| {
             b.iter(|| run_burst(&router, &f))
         });
@@ -112,31 +110,5 @@ fn bench_sharding(c: &mut Criterion) {
     g.finish();
 }
 
-/// Fixed datapaths vs per-job Auto dispatch on the same burst.
-fn bench_auto_dispatch(c: &mut Criterion) {
-    let f = fixture();
-    let mut g = c.benchmark_group("router_dispatch");
-    g.sample_size(10)
-        .throughput(Throughput::Elements(JOBS_PER_ITER));
-    for (name, backend) in [
-        ("hps", Backend::default()),
-        ("traditional", Backend::Traditional),
-        ("auto", Backend::Auto),
-    ] {
-        let router = start_router(&f, 2, backend);
-        g.bench_function(&format!("mixed_burst/{name}"), |b| {
-            b.iter(|| run_burst(&router, &f))
-        });
-        let total = router.stats().total;
-        eprintln!(
-            "  [{name}] estimated coprocessor cost {:.0} µs over {} jobs \
-             ({} traditional / {} hps)",
-            total.sim_cost_us, total.jobs_completed, total.jobs_traditional, total.jobs_hps
-        );
-        router.shutdown();
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_sharding, bench_auto_dispatch);
+criterion_group!(benches, bench_sharding);
 criterion_main!(benches);

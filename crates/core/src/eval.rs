@@ -27,25 +27,6 @@ pub enum Backend {
     /// The HPS small-number datapath (the paper's faster architecture,
     /// Fig. 6/9), with the chosen quotient precision.
     Hps(HpsPrecision),
-    /// Defer the choice to the dispatcher: schedulers with a cost model
-    /// (e.g. `hefv_engine`) pick [`Backend::Traditional`] or
-    /// [`Backend::Hps`] per job, whichever the paper's cycle model prices
-    /// cheaper for that job's op mix and parameter size. When an `Auto`
-    /// value reaches the evaluation kernels directly it resolves to the
-    /// default HPS datapath.
-    Auto,
-}
-
-impl Backend {
-    /// The concrete datapath this backend evaluates with: `Auto` resolves
-    /// to the paper's best-performing configuration, everything else is
-    /// already concrete.
-    pub fn resolve(self) -> Backend {
-        match self {
-            Backend::Auto => Backend::Hps(HpsPrecision::Fixed),
-            b => b,
-        }
-    }
 }
 
 impl Default for Backend {
@@ -244,7 +225,6 @@ fn lift_extension_rows(
     let l = ctx.rns().base_p().len();
     let n = poly.n();
     let lift = ctx.rns().lift();
-    let backend = backend.resolve();
     let src = poly.flat();
     fan_out_cols(
         n,
@@ -254,7 +234,6 @@ fn lift_extension_rows(
         |cols, dst| match backend {
             Backend::Traditional => lift.extend_poly_exact_cols_into(src, n, cols, dst),
             Backend::Hps(prec) => lift.extend_poly_hps_cols_into(src, n, cols, dst, prec),
-            Backend::Auto => unreachable!("resolve() never returns Auto"),
         },
     );
 }
@@ -283,12 +262,10 @@ pub fn scale_full_to_q_with_budget(
     let rns = ctx.rns();
     let sc = ctx.scale();
     let mut out = RnsPoly::zero(k, n);
-    let backend = backend.resolve();
     let src = poly.flat();
     fan_out_cols(n, k, out.flat_mut(), budget, |cols, dst| match backend {
         Backend::Traditional => sc.scale_poly_exact_cols_into(rns, src, n, cols, dst),
         Backend::Hps(prec) => sc.scale_poly_hps_cols_into(rns, src, n, cols, dst, prec),
-        Backend::Auto => unreachable!("resolve() never returns Auto"),
     });
     out
 }
@@ -311,12 +288,10 @@ pub fn scale_full_to_q_in(
     let rns = ctx.rns();
     let sc = ctx.scale();
     let mut out = arena.take_poly(k, n, Domain::Coefficient);
-    let backend = backend.resolve();
     let src = poly.flat();
     match backend {
         Backend::Traditional => sc.scale_poly_exact_into(rns, src, n, out.flat_mut()),
         Backend::Hps(prec) => sc.scale_poly_hps_into(rns, src, n, out.flat_mut(), prec),
-        Backend::Auto => unreachable!("resolve() never returns Auto"),
     }
     out
 }
@@ -587,20 +562,6 @@ mod tests {
         // HPS mis-rounding (probability ~2^-47 per coefficient), so demand
         // equality here.
         assert_eq!(trad, hps);
-    }
-
-    #[test]
-    fn auto_backend_resolves_to_hps_fixed() {
-        assert_eq!(Backend::Auto.resolve(), Backend::Hps(HpsPrecision::Fixed));
-        assert_eq!(Backend::Traditional.resolve(), Backend::Traditional);
-        let (ctx, _, pk, rlk, mut rng) = setup(FvParams::insecure_toy());
-        let t = ctx.params().t;
-        let n = ctx.params().n;
-        let ca = encrypt(&ctx, &pk, &Plaintext::new(vec![3, 2], t, n), &mut rng);
-        assert_eq!(
-            mul(&ctx, &ca, &ca, &rlk, Backend::Auto),
-            mul(&ctx, &ca, &ca, &rlk, Backend::Hps(HpsPrecision::Fixed)),
-        );
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! The evaluation engine: a worker pool over the cost-aware job queue.
 //!
-//! Submission path: validate → price with [`CostEstimator`] (resolving
-//! [`Backend::Auto`] to the cheaper datapath per job) → enqueue with the
-//! tenant's QoS (weight, optional deadline). Workers pop the next job
-//! under the EDF/stride/aged-cost policy, resolve the tenant's keys from
-//! the [`KeyRegistry`], execute the op-graph (heavy `Mul`s fan out over
-//! `hefv_core::parallel` under a per-job thread budget), and deliver the
-//! result through the job's completion callback. A background linger
-//! timer drains partially-filled scalar batches under light load. All
-//! counters land in [`EngineStats`].
+//! Submission path: validate → price with [`CostEstimator`] → enqueue
+//! with the tenant's QoS (weight, optional deadline). Workers pop the
+//! next job under the EDF/stride/aged-cost policy, resolve the tenant's
+//! keys from the [`KeyRegistry`], execute the op-graph (heavy `Mul`s fan
+//! out over `hefv_core::parallel` under a per-job thread budget), and
+//! deliver the result through the job's completion callback. A
+//! background linger timer drains partially-filled scalar batches under
+//! light load. All counters land in [`EngineStats`].
 
 use crate::admission::{op_class_mask, Quarantine, SheddingPolicy};
 use crate::chaos::{self, ChaosPlan};
@@ -37,11 +36,12 @@ pub struct EngineConfig {
     /// Worker threads executing jobs (≥ 1).
     pub workers: usize,
     /// OS threads one job may fan out over (0 = machine budget / workers).
-    /// This budget reaches all the way down the kernel stack: heavy ops
-    /// first split across their coarse phases (lifts, tensor outputs,
-    /// relin digits), and any surplus threads fan across residue rows
-    /// inside each NTT / pointwise / basis-extension kernel — the
-    /// paper's RPAU-per-residue distribution in software.
+    /// Only `Mul` uses this budget, through
+    /// [`parallel::mul_threaded_with_budget`]; every other op runs on the
+    /// worker's own thread. That threaded path allocates its own buffers
+    /// instead of drawing them from the worker's scratch arena, so the
+    /// engine's zero-steady-state-allocation guarantee holds only when
+    /// the budget resolves to 1 thread.
     pub threads_per_job: usize,
     /// Key-registry capacity in tenants.
     pub registry_capacity: usize,
@@ -57,16 +57,6 @@ pub struct EngineConfig {
     pub batch_linger: Option<Duration>,
     /// Scheduler aging weight in µs per arrival (0 = `mult_us / 16`).
     pub aging_weight_us: f64,
-    /// Recycle evaluation buffers through a per-worker scratch arena
-    /// ([`hefv_core::scratch::Arena`]): after warm-up, the Mult/rotate hot
-    /// path performs no steady-state heap allocation. Disable to fall back
-    /// to per-job allocation (diagnostics only — there is no performance
-    /// reason to turn this off).
-    pub scratch: bool,
-    /// Lift/Scale datapath for multiplications. [`Backend::Auto`] lets the
-    /// scheduler pick Traditional vs HPS per job, whichever the cost model
-    /// prices cheaper for that job's op mix and parameter size.
-    pub backend: Backend,
     /// Seed for the engine's internal randomness (batch encryption).
     pub seed: u64,
     /// Capacity of the flight recorder's span rings (recent and slow
@@ -97,8 +87,6 @@ impl Default for EngineConfig {
             max_batch: 0,
             batch_linger: Some(Duration::from_millis(100)),
             aging_weight_us: 0.0,
-            scratch: true,
-            backend: Backend::default(),
             seed: 0x4845_4154, // "HEAT"
             trace_ring: 256,
             slow_threshold: Some(Duration::from_millis(100)),
@@ -120,12 +108,6 @@ struct Job {
     batch_ns: u64,
     req: EvalRequest,
     cost_us: f64,
-    /// Model-attributed kernel split of `cost_us`:
-    /// `(ntt_us, basis_conv_us)`, recorded into the stats on completion.
-    kernel_us: (f64, f64),
-    /// The concrete datapath this job runs on (`Auto` is resolved at
-    /// submission time against the cost model).
-    backend: Backend,
     enqueued: Instant,
     done: Callback,
 }
@@ -139,9 +121,7 @@ pub(crate) struct Shared {
     trace_seed: u64,
     queue: JobQueue<Job>,
     noise: NoiseModel,
-    backend: Backend,
     threads_per_job: usize,
-    scratch: bool,
     estimator: CostEstimator,
     next_job_id: AtomicU64,
     pub(crate) batching: Option<crate::batch::Batching>,
@@ -297,13 +277,7 @@ impl Shared {
             }
         }
         let id = self.next_job_id.fetch_add(1, Ordering::Relaxed);
-        // Backend::Auto resolves here, per job: the queue is priced (and
-        // the job later executed) with whichever datapath the cost model
-        // says is cheaper for this op mix at these parameters.
-        let (backend, cost_us) = match self.backend {
-            Backend::Auto => self.estimator.cheaper_backend(&req),
-            b => (b, self.estimator.request_us_for(&req, b)),
-        };
+        let cost_us = self.estimator.request_us(&req);
         // Brownout: near saturation, deadline-less (lowest-QoS) traffic
         // is shed first so jobs with deadlines keep their headroom.
         if req.deadline_us.is_none() && self.shedding.brownout_occupancy < 1.0 {
@@ -335,7 +309,6 @@ impl Shared {
             tenant: req.tenant,
             deadline_us: req.deadline_us,
         };
-        let kernel_us = self.estimator.request_kernel_us_for(&req, backend);
         // Client-supplied trace ids propagate verbatim; everyone else
         // gets a deterministic id minted from the engine seed and job id.
         let trace_id = req
@@ -347,8 +320,6 @@ impl Shared {
             batch_ns,
             req,
             cost_us,
-            kernel_us,
-            backend,
             enqueued: Instant::now(),
             done: Box::new(done),
         };
@@ -474,9 +445,7 @@ impl Engine {
             ),
             trace_seed: config.seed,
             queue: JobQueue::new(aging, config.queue_capacity),
-            backend: config.backend,
             threads_per_job,
-            scratch: config.scratch,
             estimator,
             next_job_id: AtomicU64::new(0),
             batching,
@@ -589,16 +558,12 @@ impl Engine {
         &self.shared
     }
 
-    /// The scheduler's price for a request on this engine's configured
-    /// datapath, µs (what the queue orders by). `Auto` engines price each
-    /// request at the cheaper of the two architectures.
+    /// The scheduler's price for a request, µs (what the queue orders by).
     pub fn estimate_cost_us(&self, req: &EvalRequest) -> f64 {
-        self.shared
-            .estimator
-            .request_us_for(req, self.shared.backend)
+        self.shared.estimator.request_us(req)
     }
 
-    /// The cost estimator (both datapaths' price lists) for this engine's
+    /// The cost estimator (the HPS price list) for this engine's
     /// parameter set.
     pub fn estimator(&self) -> &CostEstimator {
         &self.shared.estimator
@@ -707,21 +672,11 @@ fn worker_loop(shared: &Shared, worker: u32) {
             batch_ns,
             req,
             cost_us,
-            kernel_us,
-            backend,
             done,
             ..
         } = job;
-        shared.stats.on_backend(backend);
         let tenant = req.tenant;
         let started = Instant::now();
-        let job_arena;
-        let arena = if shared.scratch {
-            &worker_arena
-        } else {
-            job_arena = Arena::new();
-            &job_arena
-        };
         if shared.chaos.active() {
             if shared.chaos.delay > Duration::ZERO {
                 std::thread::sleep(shared.chaos.delay);
@@ -739,7 +694,7 @@ fn worker_loop(shared: &Shared, worker: u32) {
             if inject_panic {
                 panic!("chaos: injected worker panic");
             }
-            execute(shared, &req, backend, arena)
+            execute(shared, &req, &worker_arena)
         }))
         .unwrap_or_else(|_| {
             // A panicking (tenant, op-class) signature strikes the
@@ -756,10 +711,7 @@ fn worker_loop(shared: &Shared, worker: u32) {
         let ok = result.is_ok();
         let result = match result {
             Ok((result, noise_bits)) => {
-                shared
-                    .stats
-                    .on_complete(exec_ns, cost_us, noise_bits, backend);
-                shared.stats.on_kernel_time(kernel_us.0, kernel_us.1);
+                shared.stats.on_complete(exec_ns, cost_us, noise_bits);
                 shared
                     .stats
                     .on_tenant(tenant, queue_ns + exec_ns, noise_bits);
@@ -789,7 +741,6 @@ fn worker_loop(shared: &Shared, worker: u32) {
             tenant,
             worker: worker as usize,
             ok,
-            backend: backend_label(backend),
             level: level.as_str(),
             est_cost_us: cost_us,
             batch_ns,
@@ -800,12 +751,10 @@ fn worker_loop(shared: &Shared, worker: u32) {
         if shared.recorder.record(span) {
             shared.stats.on_slow();
         }
-        if shared.scratch {
-            // The job's operand ciphertexts are dead: feed their buffers
-            // back to the arena for the next job.
-            for ct in req.inputs {
-                worker_arena.recycle_ciphertext(ct);
-            }
+        // The job's operand ciphertexts are dead: feed their buffers back
+        // to the arena for the next job.
+        for ct in req.inputs {
+            worker_arena.recycle_ciphertext(ct);
         }
         let now = worker_arena.stats();
         shared.stats.on_arena(&reported, &now);
@@ -813,16 +762,7 @@ fn worker_loop(shared: &Shared, worker: u32) {
     }
 }
 
-/// Metric label of a resolved datapath (the order of
-/// [`crate::stats::BACKEND_KINDS`]).
-fn backend_label(backend: Backend) -> &'static str {
-    match backend.resolve() {
-        Backend::Traditional => crate::stats::BACKEND_KINDS[0],
-        _ => crate::stats::BACKEND_KINDS[1],
-    }
-}
-
-/// Runs the op program on the given concrete datapath. Returns the result
+/// Runs the op program on the default HPS datapath. Returns the result
 /// ciphertext and the estimated noise bits consumed —
 /// `log2(out_magnitude / fresh_magnitude)` under the analytic worst-case
 /// [`NoiseModel`] (decryption is never possible here because the engine
@@ -838,7 +778,6 @@ fn backend_label(backend: Backend) -> &'static str {
 fn execute(
     shared: &Shared,
     req: &EvalRequest,
-    backend: Backend,
     arena: &Arena,
 ) -> Result<(Ciphertext, f64), EngineError> {
     let ctx = &*shared.ctx;
@@ -944,11 +883,11 @@ fn execute(
                         ca,
                         cb,
                         rlk,
-                        backend,
+                        Backend::default(),
                         shared.threads_per_job,
                     )
                 } else {
-                    eval::mul_in(ctx, ca, cb, rlk, backend, arena)
+                    eval::mul_in(ctx, ca, cb, rlk, Backend::default(), arena)
                 };
                 (out, shared.noise.after_mul(mag(&noise, a), mag(&noise, b)))
             }

@@ -17,8 +17,7 @@
 //!   over several engine shards, explicit pinning, shard-addressed frame
 //!   dispatch, and aggregated fleet telemetry;
 //! * [`engine`] — the [`Engine`]: worker pool, submission, lifecycle;
-//!   `Backend::Auto` engines pick the Traditional or HPS datapath per job
-//!   from the cost model;
+//!   every job runs on the HPS datapath (`Backend::default()`);
 //! * [`admission`] — overload control and failure containment at the
 //!   submission door: deadline-feasibility, memory-pressure,
 //!   noise-budget, and brownout gates ([`SheddingPolicy`]), plus the
@@ -37,12 +36,12 @@
 //!   coalesced into slot-packed ciphertexts via `BatchEncoder` and the
 //!   packed results demuxed back to each requester; a linger timer drains
 //!   partial batches under light load;
-//! * [`sched`] — the two-datapath cost estimator and the deterministic
+//! * [`sched`] — the HPS cost estimator and the deterministic
 //!   EDF/stride/aged-cost queue (per-tenant weights, optional deadlines);
 //! * [`wire`] — shard-addressed request/response framing extending
 //!   `hefv_core::wire`, plus the `HEVS` admin frames that serve metrics
 //!   and trace dumps over the same connection;
-//! * [`stats`] — per-op latency distributions, queue depth, datapath and
+//! * [`stats`] — per-op and per-job latency distributions, queue depth,
 //!   scheduler-level attribution, per-tenant and noise-budget telemetry;
 //! * [`metrics`] — mergeable log-linear latency [`Histogram`]s
 //!   (p50/p95/p99/max) and the Prometheus-text exposition of a fleet's

@@ -3,7 +3,7 @@
 //! The paper's evaluation is a cost *breakdown* — which kernel cycles go
 //! where on each datapath — and a serving fleet needs the same attribution
 //! at runtime: not just totals and a max, but the shape of the latency
-//! distribution per op class, per datapath and per scheduler level. This
+//! distribution per op class, per job and per scheduler level. This
 //! module provides the two halves:
 //!
 //! * [`Histogram`] — an HDR-style fixed-bucket log-linear histogram over
@@ -17,7 +17,7 @@
 //!   relative error is bounded by `1/SUBBUCKETS` (6.25%).
 //! * [`render_prometheus`] — the Prometheus text exposition of a
 //!   [`RouterStats`]: merged fleet counters,
-//!   summary-style quantiles per op class / backend / queue level,
+//!   summary-style quantiles per op class / queue level,
 //!   per-tenant accounting, and a per-shard health block (liveness, queue
 //!   depth, inflight, rejects). This is the payload of the `HEVS` admin
 //!   frame (see [`crate::wire`] and the `hefv-net` server).
@@ -356,16 +356,6 @@ pub fn render_prometheus_into(out: &mut String, fleet: &RouterStats) {
             t.sim_cost_us,
         ),
         (
-            "hefv_ntt_microseconds_total",
-            "Model-attributed transform (NTT) time",
-            t.ntt_us,
-        ),
-        (
-            "hefv_basis_conv_microseconds_total",
-            "Model-attributed Lift/Scale basis-conversion time",
-            t.basis_conv_us,
-        ),
-        (
             "hefv_noise_bits_total",
             "Estimated noise bits consumed",
             t.noise_bits_consumed,
@@ -443,25 +433,6 @@ pub fn render_prometheus_into(out: &mut String, fleet: &RouterStats) {
 
     header(
         out,
-        "hefv_jobs_backend_total",
-        "Jobs dispatched per Lift/Scale datapath",
-        "counter",
-    );
-    line(
-        out,
-        "hefv_jobs_backend_total",
-        &[("backend", "traditional")],
-        t.jobs_traditional as f64,
-    );
-    line(
-        out,
-        "hefv_jobs_backend_total",
-        &[("backend", "hps")],
-        t.jobs_hps as f64,
-    );
-
-    header(
-        out,
         "hefv_op_latency_seconds",
         "Execution latency per op class (fleet-merged)",
         "summary",
@@ -472,21 +443,6 @@ pub fn render_prometheus_into(out: &mut String, fleet: &RouterStats) {
             "hefv_op_latency_seconds",
             &[("op", op.name)],
             &op.latency,
-        );
-    }
-
-    header(
-        out,
-        "hefv_backend_latency_seconds",
-        "Job execution latency per Lift/Scale datapath",
-        "summary",
-    );
-    for (backend, h) in &t.exec_by_backend {
-        summary(
-            out,
-            "hefv_backend_latency_seconds",
-            &[("backend", backend)],
-            h,
         );
     }
 

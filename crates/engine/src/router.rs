@@ -1,7 +1,7 @@
 //! The cluster layer: a [`ShardRouter`] fronting local and remote shards.
 //!
-//! The paper fixes one datapath per coprocessor; a serving fleet does not
-//! have to. The router partitions tenants across shards — in-process
+//! The paper places two coprocessors behind one cloud service; the router
+//! generalizes that to N shards. It partitions tenants across shards — in-process
 //! [`Engine`]s and, through [`RemoteShard`], engines living on other
 //! nodes — and routes every request to its tenant's shard:
 //!
@@ -27,11 +27,6 @@
 //!   tenant's replica shard. First reply wins; the loser's reply finds
 //!   the completion already taken and is dropped — correlation ids make
 //!   the duplicate harmless end-to-end.
-//! * **Datapath dispatch** rides on [`Backend::Auto`](hefv_core::eval::Backend::Auto): a shard configured
-//!   with it prices every job on both the Traditional and HPS cost models
-//!   and executes on the cheaper one (see [`crate::sched::CostEstimator`]),
-//!   so a mixed workload beats either fixed-datapath fleet on total
-//!   estimated cost.
 //! * **Remote traffic** enters through [`ShardRouter::dispatch_frame`]:
 //!   `HEVQ` request frames carry an optional shard address
 //!   ([`crate::wire::peek_shard`]) and are otherwise placed by tenant
@@ -48,15 +43,13 @@
 //! use hefv_core::prelude::*;
 //! use hefv_engine::prelude::*;
 //! use hefv_engine::router::{ShardRouter, ShardSpec};
-//! use hefv_core::eval::Backend;
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
 //! use std::sync::Arc;
 //!
 //! let ctx = Arc::new(FvContext::new(FvParams::insecure_toy()).unwrap());
 //! let router = ShardRouter::new();
-//! // Two shards over one parameter set; Auto picks the cheaper datapath
-//! // per job from the paper's cost model.
+//! // Two shards over one parameter set; tenants spread over them by hash.
 //! for name in ["shard-a", "shard-b"] {
 //!     router
 //!         .add_shard(ShardSpec {
@@ -64,7 +57,6 @@
 //!             ctx: Arc::clone(&ctx),
 //!             config: EngineConfig {
 //!                 workers: 1,
-//!                 backend: Backend::Auto,
 //!                 ..EngineConfig::default()
 //!             },
 //!         })
@@ -115,8 +107,7 @@ pub struct ShardSpec {
     pub name: String,
     /// The parameter set this shard serves.
     pub ctx: Arc<FvContext>,
-    /// Engine configuration — set `backend: Backend::Auto` for per-job
-    /// datapath dispatch.
+    /// Engine configuration.
     pub config: EngineConfig,
 }
 

@@ -1,20 +1,14 @@
 //! Cost-aware scheduling: the simulated-coprocessor cost model prices each
-//! request on *both* datapaths, and a weighted, deadline-aware priority
-//! queue orders work on a deterministic virtual clock.
+//! request, and a weighted, deadline-aware priority queue orders work on a
+//! deterministic virtual clock.
 //!
 //! The paper's coprocessor gets its throughput from scheduling independent
 //! RNS/NTT work units onto parallel RPAUs; at the service level the
-//! analogous levers are choosing *which job* each worker runs next and
-//! *which datapath* runs it. Both decisions come from the same cost model:
+//! analogous lever is choosing *which job* each worker runs next:
 //!
-//! * [`CostEstimator`] prices every request twice — once on the HPS
-//!   coprocessor ([`hefv_sim::coproc::Coprocessor`], Table II) and once on
-//!   the traditional-CRT coprocessor (§VI-C). The two architectures win in
-//!   different regimes: HPS `Lift`/`Scale` is constant-latency while the
-//!   traditional long-integer cores scale with `n`, but the traditional
-//!   design streams a 3× smaller switching key, so key-switch-heavy jobs
-//!   (rotations, slot sums) price cheaper there. [`Backend::Auto`] engines
-//!   use [`CostEstimator::cheaper_backend`] to dispatch per job.
+//! * [`CostEstimator`] prices every request on the HPS coprocessor
+//!   ([`hefv_sim::coproc::Coprocessor`], Table II), the datapath every
+//!   engine job runs on ([`hefv_core::eval::Backend::default`]).
 //!
 //! * [`JobQueue`] is a three-level scheduler, deterministic given the push
 //!   sequence (no wall-clock reads — time is *virtual*, advanced by the
@@ -45,21 +39,13 @@
 use crate::registry::TenantId;
 use crate::request::{EvalOp, EvalRequest, ValRef};
 use hefv_core::context::FvContext;
-use hefv_core::eval::Backend;
-use hefv_sim::clock::ClockConfig;
-use hefv_sim::coproc::{
-    trad_add_us, trad_hoisted_rotations_kernel_split_us, trad_hoisted_rotations_us_for,
-    trad_mult_kernel_split_us, trad_mult_us_for, trad_rotate_kernel_split_us, trad_rotate_us_for,
-    trad_sum_slots_kernel_split_us, trad_sum_slots_us_for, Coprocessor,
-};
-use hefv_sim::cost::TradCostModel;
-use hefv_sim::dma::DmaModel;
+use hefv_sim::coproc::Coprocessor;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::{Condvar, Mutex};
 
-/// Per-op prices of one datapath, µs.
-#[derive(Debug, Clone, Copy)]
-struct OpPrices {
+/// Prices a request in simulated HPS-coprocessor microseconds.
+#[derive(Debug, Clone)]
+pub struct CostEstimator {
     mult_us: f64,
     add_us: f64,
     rotate_us: f64,
@@ -68,33 +54,36 @@ struct OpPrices {
     rotate_hoisted_extra_us: f64,
     /// One hoisted slot sum (grouped doubling rounds).
     sum_slots_us: f64,
-    /// (transform µs, basis-conversion µs) inside one `Mult`.
-    mult_split: (f64, f64),
-    /// (transform µs, basis-conversion µs) inside one rotation.
-    rotate_split: (f64, f64),
-    /// Kernel split of the marginal hoisted rotation.
-    rotate_hoisted_extra_split: (f64, f64),
-    /// Kernel split of one hoisted slot sum.
-    sum_slots_split: (f64, f64),
 }
 
-/// Walks a request's ops, telling the callback whether each `Rotate`
-/// rides a hoisted run (consecutive rotations of the same source value
-/// share one digit decomposition — exactly how the engine executes them).
-fn for_each_op_hoisted(ops: &[EvalOp], mut f: impl FnMut(&EvalOp, bool)) {
-    let mut prev: Option<ValRef> = None;
-    for op in ops {
-        let hoisted = matches!(op, EvalOp::Rotate(a, _) if prev == Some(*a));
-        f(op, hoisted);
-        prev = match op {
-            EvalOp::Rotate(a, _) => Some(*a),
-            _ => None,
+impl CostEstimator {
+    /// Builds the per-op price list for one context by running the
+    /// Table II microcode through the HPS cycle model once, instantiated
+    /// at the *context's* ring degree (the calibrated per-instruction
+    /// overheads stay at their Table II values).
+    pub fn new(ctx: &FvContext) -> Self {
+        let cop = Coprocessor {
+            cost: hefv_sim::cost::CostModel {
+                n: ctx.params().n,
+                ..hefv_sim::cost::CostModel::default()
+            },
+            ..Coprocessor::default()
         };
+        // Marginal hoisted rotation: the cost a batch pays for one more
+        // rotation once the decomposition exists.
+        let hoist1 = cop.run_hoisted_rotations(ctx, 1).total_us;
+        let hoist2 = cop.run_hoisted_rotations(ctx, 2).total_us;
+        CostEstimator {
+            mult_us: cop.run_mult(ctx).total_us,
+            add_us: cop.run_add().total_us,
+            rotate_us: cop.run_rotate(ctx).total_us,
+            rotate_hoisted_extra_us: hoist2 - hoist1,
+            sum_slots_us: cop.run_sum_slots(ctx).total_us,
+        }
     }
-}
 
-impl OpPrices {
-    fn op_us(&self, op: &EvalOp) -> f64 {
+    /// Price of one op, µs.
+    pub fn op_us(&self, op: &EvalOp) -> f64 {
         match op {
             EvalOp::Add(..) | EvalOp::Sub(..) | EvalOp::Neg(..) => self.add_us,
             EvalOp::Mul(..) => self.mult_us,
@@ -108,184 +97,29 @@ impl OpPrices {
         }
     }
 
-    fn request_us(&self, req: &EvalRequest) -> f64 {
+    /// Price of a whole request, µs. Consecutive rotations of the same
+    /// source value share one digit decomposition (exactly how the engine
+    /// executes them), so each after the first costs only its marginal
+    /// share.
+    pub fn request_us(&self, req: &EvalRequest) -> f64 {
         let mut total = 0.0;
-        for_each_op_hoisted(&req.ops, |op, hoisted| {
-            total += if hoisted {
-                self.rotate_hoisted_extra_us
-            } else {
-                self.op_us(op)
+        let mut prev: Option<ValRef> = None;
+        for op in &req.ops {
+            total += match op {
+                EvalOp::Rotate(a, _) if prev == Some(*a) => self.rotate_hoisted_extra_us,
+                _ => self.op_us(op),
             };
-        });
+            prev = match op {
+                EvalOp::Rotate(a, _) => Some(*a),
+                _ => None,
+            };
+        }
         total
     }
 
-    /// Where an op's kernel time goes: `(ntt_us, basis_conv_us)`.
-    /// Coefficient-wise ops contribute to neither bucket; `MulPlain` is
-    /// transform-only (it never lifts or scales).
-    fn op_kernel_us(&self, op: &EvalOp) -> (f64, f64) {
-        match op {
-            EvalOp::Add(..) | EvalOp::Sub(..) | EvalOp::Neg(..) => (0.0, 0.0),
-            EvalOp::Mul(..) => self.mult_split,
-            EvalOp::MulPlain(..) => (self.mult_split.0 / 4.0, 0.0),
-            EvalOp::Rotate(..) => self.rotate_split,
-            EvalOp::SumSlots(..) => self.sum_slots_split,
-        }
-    }
-
-    fn request_kernel_us(&self, req: &EvalRequest) -> (f64, f64) {
-        let mut acc = (0.0, 0.0);
-        for_each_op_hoisted(&req.ops, |op, hoisted| {
-            let (dn, db) = if hoisted {
-                self.rotate_hoisted_extra_split
-            } else {
-                self.op_kernel_us(op)
-            };
-            acc = (acc.0 + dn, acc.1 + db);
-        });
-        acc
-    }
-}
-
-/// Prices a request in simulated coprocessor microseconds, on either
-/// datapath.
-#[derive(Debug, Clone)]
-pub struct CostEstimator {
-    hps: OpPrices,
-    trad: OpPrices,
-}
-
-impl CostEstimator {
-    /// Builds the per-op price lists for one context by running the
-    /// Table II microcode through both architectures' cycle models once.
-    ///
-    /// Both cycle models are instantiated at the *context's* ring degree
-    /// (the calibrated per-instruction overheads stay at their Table II
-    /// values): comparing a ctx-scaled traditional estimate against
-    /// n=4096-frozen HPS instruction prices would bias every dispatch
-    /// decision off the paper's shape.
-    pub fn new(ctx: &FvContext) -> Self {
-        let poly = hefv_sim::cost::CostModel {
-            n: ctx.params().n,
-            ..hefv_sim::cost::CostModel::default()
-        };
-        let cop = Coprocessor {
-            cost: poly,
-            ..Coprocessor::default()
-        };
-        let hps = {
-            let mult_us = cop.run_mult(ctx).total_us;
-            let add_us = cop.run_add().total_us;
-            let rotate_us = cop.run_rotate(ctx).total_us;
-            // Marginal hoisted rotation: the cost a batch pays for one
-            // more rotation once the decomposition exists.
-            let hoist1 = cop.run_hoisted_rotations(ctx, 1).total_us;
-            let hoist2 = cop.run_hoisted_rotations(ctx, 2).total_us;
-            let split1 = cop.hoisted_rotations_kernel_split_us(ctx, 1);
-            let split2 = cop.hoisted_rotations_kernel_split_us(ctx, 2);
-            OpPrices {
-                mult_us,
-                add_us,
-                rotate_us,
-                rotate_hoisted_extra_us: hoist2 - hoist1,
-                sum_slots_us: cop.run_sum_slots(ctx).total_us,
-                mult_split: cop.mult_kernel_split_us(ctx),
-                rotate_split: cop.rotate_kernel_split_us(ctx),
-                rotate_hoisted_extra_split: (split2.0 - split1.0, split2.1 - split1.1),
-                sum_slots_split: cop.sum_slots_kernel_split_us(ctx),
-            }
-        };
-        let trad = {
-            let model = TradCostModel {
-                poly,
-                ..TradCostModel::default()
-            };
-            let dma = DmaModel::default();
-            let clocks = ClockConfig::non_hps();
-            let mult_us = trad_mult_us_for(ctx, &model, &dma, &clocks);
-            let add_us = trad_add_us(&model, &clocks);
-            let rotate_us = trad_rotate_us_for(ctx, &model, &dma, &clocks);
-            let hoist1 = trad_hoisted_rotations_us_for(ctx, &model, &dma, &clocks, 1);
-            let hoist2 = trad_hoisted_rotations_us_for(ctx, &model, &dma, &clocks, 2);
-            let split1 = trad_hoisted_rotations_kernel_split_us(ctx, &model, &clocks, 1);
-            let split2 = trad_hoisted_rotations_kernel_split_us(ctx, &model, &clocks, 2);
-            OpPrices {
-                mult_us,
-                add_us,
-                rotate_us,
-                rotate_hoisted_extra_us: hoist2 - hoist1,
-                sum_slots_us: trad_sum_slots_us_for(ctx, &model, &dma, &clocks),
-                mult_split: trad_mult_kernel_split_us(ctx, &model, &clocks),
-                rotate_split: trad_rotate_kernel_split_us(ctx, &model, &clocks),
-                rotate_hoisted_extra_split: (split2.0 - split1.0, split2.1 - split1.1),
-                sum_slots_split: trad_sum_slots_kernel_split_us(ctx, &model, &clocks),
-            }
-        };
-        CostEstimator { hps, trad }
-    }
-
-    fn prices(&self, backend: Backend) -> &OpPrices {
-        match backend {
-            Backend::Traditional => &self.trad,
-            _ => &self.hps,
-        }
-    }
-
-    /// Price of one op on the default (HPS) datapath, µs.
-    pub fn op_us(&self, op: &EvalOp) -> f64 {
-        self.hps.op_us(op)
-    }
-
-    /// Price of one op on a specific datapath, µs ([`Backend::Auto`]
-    /// prices as the cheaper of the two).
-    pub fn op_us_for(&self, op: &EvalOp, backend: Backend) -> f64 {
-        match backend {
-            Backend::Auto => self.trad.op_us(op).min(self.hps.op_us(op)),
-            b => self.prices(b).op_us(op),
-        }
-    }
-
-    /// Price of a whole request on the default (HPS) datapath, µs.
-    pub fn request_us(&self, req: &EvalRequest) -> f64 {
-        self.hps.request_us(req)
-    }
-
-    /// Price of a whole request on a specific datapath, µs
-    /// ([`Backend::Auto`] prices as [`CostEstimator::cheaper_backend`]).
-    pub fn request_us_for(&self, req: &EvalRequest, backend: Backend) -> f64 {
-        match backend {
-            Backend::Auto => self.cheaper_backend(req).1,
-            b => self.prices(b).request_us(req),
-        }
-    }
-
-    /// The concrete datapath that prices this request cheaper, with its
-    /// price. Ties go to HPS (the paper's default configuration).
-    pub fn cheaper_backend(&self, req: &EvalRequest) -> (Backend, f64) {
-        let hps = self.hps.request_us(req);
-        let trad = self.trad.request_us(req);
-        if trad < hps {
-            (Backend::Traditional, trad)
-        } else {
-            (Backend::default(), hps)
-        }
-    }
-
-    /// The price of one `Mult` on the HPS datapath, µs (used to derive the
-    /// aging weight).
+    /// The price of one `Mult`, µs (used to derive the aging weight).
     pub fn mult_us(&self) -> f64 {
-        self.hps.mult_us
-    }
-
-    /// Model-attributed kernel time of a whole request on a concrete
-    /// datapath: `(ntt_us, basis_conv_us)` — how much of the priced cost
-    /// is transforms vs `Lift`/`Scale` basis conversion. [`Backend::Auto`]
-    /// attributes on the HPS model (callers that resolved `Auto` per job
-    /// should pass the resolved backend). Feeds the engine's
-    /// `ntt_us`/`basis_conv_us` telemetry so fleet stats expose where
-    /// kernel time goes.
-    pub fn request_kernel_us_for(&self, req: &EvalRequest, backend: Backend) -> (f64, f64) {
-        self.prices(backend.resolve()).request_kernel_us(req)
+        self.mult_us
     }
 }
 
@@ -768,36 +602,6 @@ mod tests {
     }
 
     #[test]
-    fn estimator_prices_flip_between_datapaths() {
-        use crate::request::ValRef;
-        let mul = EvalOp::Mul(ValRef::Input(0), ValRef::Input(1));
-        let rot = EvalOp::Rotate(ValRef::Input(0), 3);
-        // Rotations always favor the traditional datapath (3× smaller
-        // switching key, no lift/scale in the op at all).
-        let ctx = FvContext::new(FvParams::hpca19()).unwrap();
-        let est = CostEstimator::new(&ctx);
-        assert!(
-            est.op_us_for(&rot, Backend::Traditional) < est.op_us_for(&rot, Backend::default())
-        );
-        // At the paper's n = 4096, Mult favors HPS (§VI-C)…
-        assert!(
-            est.op_us_for(&mul, Backend::Traditional) > est.op_us_for(&mul, Backend::default())
-        );
-        // …while small rings flip it: the long-integer lift finishes fast.
-        let toy = FvContext::new(FvParams::insecure_toy()).unwrap();
-        let est = CostEstimator::new(&toy);
-        assert!(
-            est.op_us_for(&mul, Backend::Traditional) < est.op_us_for(&mul, Backend::default())
-        );
-        // Auto is never worse than either concrete datapath.
-        for op in [mul, rot] {
-            let auto = est.op_us_for(&op, Backend::Auto);
-            assert!(auto <= est.op_us_for(&op, Backend::Traditional) + 1e-9);
-            assert!(auto <= est.op_us_for(&op, Backend::default()) + 1e-9);
-        }
-    }
-
-    #[test]
     fn consecutive_rotations_price_as_a_hoisted_batch() {
         use crate::request::ValRef;
         use hefv_core::encoder::Plaintext;
@@ -829,19 +633,12 @@ mod tests {
             EvalOp::Rotate(ValRef::Input(1), 9),
             EvalOp::Rotate(ValRef::Input(0), 27),
         ]);
-        for backend in [Backend::default(), Backend::Traditional, Backend::Auto] {
-            let hoisted = est.request_us_for(&batch, backend);
-            let separate = est.request_us_for(&independent, backend);
-            assert!(
-                hoisted < separate,
-                "{backend:?}: hoisted {hoisted} vs separate {separate}"
-            );
-        }
-        // Kernel attribution shrinks too: the marginal rotations re-run no
-        // forward transforms of the digits.
-        let (batch_ntt, _) = est.request_kernel_us_for(&batch, Backend::default());
-        let (sep_ntt, _) = est.request_kernel_us_for(&independent, Backend::default());
-        assert!(batch_ntt < sep_ntt);
+        let hoisted = est.request_us(&batch);
+        let separate = est.request_us(&independent);
+        assert!(
+            hoisted < separate,
+            "hoisted {hoisted} vs separate {separate}"
+        );
     }
 
     #[test]

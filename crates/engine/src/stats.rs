@@ -1,6 +1,5 @@
-//! Engine telemetry: per-op latency distributions, queue depth,
-//! datapath/scheduler attribution, per-tenant and noise-budget
-//! accounting.
+//! Engine telemetry: per-op and per-job latency distributions, queue
+//! depth, scheduler attribution, per-tenant and noise-budget accounting.
 //!
 //! Everything on the recording side is lock-free atomics (the per-op
 //! tables are [`Histogram`]s — a handful of relaxed fetch-adds per
@@ -33,16 +32,6 @@ pub const OP_KINDS: [&str; 7] = [
 /// Index of an op name in [`OP_KINDS`] (`None` for unknown names).
 pub fn op_index(name: &str) -> Option<usize> {
     OP_KINDS.iter().position(|&k| k == name)
-}
-
-/// Datapath labels, in the order of the per-backend tables.
-pub const BACKEND_KINDS: [&str; 2] = ["traditional", "hps"];
-
-fn backend_index(backend: hefv_core::eval::Backend) -> usize {
-    match backend.resolve() {
-        hefv_core::eval::Backend::Traditional => 0,
-        _ => 1,
-    }
 }
 
 /// Admission-refusal classes tracked by `hefv_shed_total{reason=}`, in
@@ -86,7 +75,7 @@ struct TenantCell {
 #[derive(Default)]
 pub struct EngineStats {
     per_op: [Histogram; OP_KINDS.len()],
-    exec_by_backend: [Histogram; BACKEND_KINDS.len()],
+    exec: Histogram,
     queue_wait_by_level: [Histogram; SchedLevel::ALL.len()],
     tenants: RwLock<HashMap<u64, Arc<TenantCell>>>,
     jobs_submitted: AtomicU64,
@@ -101,12 +90,6 @@ pub struct EngineStats {
     noise_bits_milli: AtomicU64,
     batches_formed: AtomicU64,
     batched_requests: AtomicU64,
-    jobs_traditional: AtomicU64,
-    jobs_hps: AtomicU64,
-    /// Model-attributed NTT/transform µs ×1000 (fixed-point for atomics).
-    ntt_mus: AtomicU64,
-    /// Model-attributed Lift/Scale basis-conversion µs ×1000.
-    basis_conv_mus: AtomicU64,
     /// Scratch-arena occupancy gauges, summed over workers (each worker
     /// reports two's-complement deltas; see [`EngineStats::on_arena`]).
     arena_pooled_buffers: AtomicU64,
@@ -140,33 +123,14 @@ impl EngineStats {
         self.queue_wait_by_level[level.index()].record(queue_ns);
     }
 
-    /// A job finished successfully on datapath `backend` (resolved — for
-    /// `Backend::Auto` engines this is the cost model's per-job choice).
-    pub fn on_complete(
-        &self,
-        exec_ns: u64,
-        sim_cost_us: f64,
-        noise_bits: f64,
-        backend: hefv_core::eval::Backend,
-    ) {
+    /// A job finished successfully after executing for `exec_ns`.
+    pub fn on_complete(&self, exec_ns: u64, sim_cost_us: f64, noise_bits: f64) {
         self.jobs_completed.fetch_add(1, Ordering::Relaxed);
-        self.exec_by_backend[backend_index(backend)].record(exec_ns);
+        self.exec.record(exec_ns);
         self.sim_cost_mus
             .fetch_add((sim_cost_us * 1000.0) as u64, Ordering::Relaxed);
         self.noise_bits_milli
             .fetch_add((noise_bits.max(0.0) * 1000.0) as u64, Ordering::Relaxed);
-    }
-
-    /// Records where a completed job's kernel time went under the cycle
-    /// model: transform (NTT + rearrange) vs `Lift`/`Scale` basis
-    /// conversion. Aggregated alongside `sim_cost_us` so fleet stats show
-    /// not just how much simulated time a shard burned but *which kernels*
-    /// burned it.
-    pub fn on_kernel_time(&self, ntt_us: f64, basis_conv_us: f64) {
-        self.ntt_mus
-            .fetch_add((ntt_us.max(0.0) * 1000.0) as u64, Ordering::Relaxed);
-        self.basis_conv_mus
-            .fetch_add((basis_conv_us.max(0.0) * 1000.0) as u64, Ordering::Relaxed);
     }
 
     /// Folds one worker arena's occupancy change into the engine-wide
@@ -246,19 +210,6 @@ impl EngineStats {
         self.jobs_slow.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A job was dispatched onto a concrete Lift/Scale datapath (for
-    /// `Backend::Auto` engines this is the cost model's per-job choice).
-    pub fn on_backend(&self, backend: hefv_core::eval::Backend) {
-        match backend.resolve() {
-            hefv_core::eval::Backend::Traditional => {
-                self.jobs_traditional.fetch_add(1, Ordering::Relaxed);
-            }
-            _ => {
-                self.jobs_hps.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// A scalar batch of `size` requests was coalesced into one job.
     pub fn on_batch(&self, size: usize) {
         self.batches_formed.fetch_add(1, Ordering::Relaxed);
@@ -310,11 +261,7 @@ impl EngineStats {
                 }
             })
             .collect();
-        let exec_by_backend: Vec<(&'static str, HistogramSnapshot)> = BACKEND_KINDS
-            .iter()
-            .zip(&self.exec_by_backend)
-            .map(|(&name, h)| (name, h.snapshot()))
-            .collect();
+        let exec = self.exec.snapshot();
         let queue_wait_by_level: Vec<(&'static str, HistogramSnapshot)> = SchedLevel::ALL
             .iter()
             .zip(&self.queue_wait_by_level)
@@ -337,9 +284,9 @@ impl EngineStats {
             // Totals derive from the histograms' exact sums, so the
             // aggregate and distribution views can never disagree.
             queue_wait_ns: queue_wait_by_level.iter().map(|(_, h)| h.sum).sum(),
-            exec_ns: exec_by_backend.iter().map(|(_, h)| h.sum).sum(),
+            exec_ns: exec.sum,
             per_op,
-            exec_by_backend,
+            exec,
             queue_wait_by_level,
             per_tenant,
             jobs_submitted: self.jobs_submitted.load(Ordering::Relaxed),
@@ -352,10 +299,6 @@ impl EngineStats {
             noise_bits_consumed: self.noise_bits_milli.load(Ordering::Relaxed) as f64 / 1000.0,
             batches_formed: self.batches_formed.load(Ordering::Relaxed),
             batched_requests: self.batched_requests.load(Ordering::Relaxed),
-            jobs_traditional: self.jobs_traditional.load(Ordering::Relaxed),
-            jobs_hps: self.jobs_hps.load(Ordering::Relaxed),
-            ntt_us: self.ntt_mus.load(Ordering::Relaxed) as f64 / 1000.0,
-            basis_conv_us: self.basis_conv_mus.load(Ordering::Relaxed) as f64 / 1000.0,
             arena_pooled_buffers: self.arena_pooled_buffers.load(Ordering::Relaxed),
             arena_pooled_bytes: self.arena_pooled_bytes.load(Ordering::Relaxed),
             arena_dropped: self.arena_dropped.load(Ordering::Relaxed),
@@ -424,9 +367,8 @@ pub enum Fold {
 pub struct StatsSnapshot {
     /// Per-op latency table (one entry per [`OP_KINDS`] class).
     pub per_op: Vec<OpSnapshot>,
-    /// Job execution latency per Lift/Scale datapath (one entry per
-    /// [`BACKEND_KINDS`] label).
-    pub exec_by_backend: Vec<(&'static str, HistogramSnapshot)>,
+    /// Job execution latency (every job runs on the HPS datapath).
+    pub exec: HistogramSnapshot,
     /// Queue wait per scheduler level that released the job (one entry
     /// per [`SchedLevel`], labelled `edf` / `weighted` / `sjf`).
     pub queue_wait_by_level: Vec<(&'static str, HistogramSnapshot)>,
@@ -447,7 +389,7 @@ pub struct StatsSnapshot {
     pub queue_depth: u64,
     /// Cumulative queue wait, ns (sum over `queue_wait_by_level`).
     pub queue_wait_ns: u64,
-    /// Cumulative execution wall time, ns (sum over `exec_by_backend`).
+    /// Cumulative execution wall time, ns (the sum of `exec`).
     pub exec_ns: u64,
     /// Cumulative simulated coprocessor cost, µs.
     pub sim_cost_us: f64,
@@ -457,15 +399,6 @@ pub struct StatsSnapshot {
     pub batches_formed: u64,
     /// Scalar requests inside those batches.
     pub batched_requests: u64,
-    /// Jobs executed on the traditional-CRT Lift/Scale datapath.
-    pub jobs_traditional: u64,
-    /// Jobs executed on the HPS Lift/Scale datapath.
-    pub jobs_hps: u64,
-    /// Model-attributed transform (NTT + rearrange) time, µs — the share
-    /// of `sim_cost_us` the cycle model charges to transforms.
-    pub ntt_us: f64,
-    /// Model-attributed `Lift`/`Scale` basis-conversion time, µs.
-    pub basis_conv_us: f64,
     /// Scratch buffers currently pooled across worker arenas (gauge).
     pub arena_pooled_buffers: u64,
     /// Bytes of backing capacity pooled across worker arenas (gauge).
@@ -491,7 +424,7 @@ impl StatsSnapshot {
         // field without deciding how it folds is a compile error here.
         let StatsSnapshot {
             per_op,
-            exec_by_backend,
+            exec,
             queue_wait_by_level,
             per_tenant,
             jobs_submitted,
@@ -506,10 +439,6 @@ impl StatsSnapshot {
             noise_bits_consumed,
             batches_formed,
             batched_requests,
-            jobs_traditional,
-            jobs_hps,
-            ntt_us,
-            basis_conv_us,
             arena_pooled_buffers,
             arena_pooled_bytes,
             arena_dropped,
@@ -528,10 +457,7 @@ impl StatsSnapshot {
             mine.max_ns = mine.max_ns.max(theirs.max_ns);
             mine.latency.merge(&theirs.latency);
         }
-        for (mine, theirs) in self.exec_by_backend.iter_mut().zip(exec_by_backend) {
-            debug_assert_eq!(mine.0, theirs.0, "BACKEND_KINDS order is fixed");
-            mine.1.merge(&theirs.1);
-        }
+        self.exec.merge(exec);
         for (mine, theirs) in self.queue_wait_by_level.iter_mut().zip(queue_wait_by_level) {
             debug_assert_eq!(mine.0, theirs.0, "SchedLevel order is fixed");
             mine.1.merge(&theirs.1);
@@ -561,10 +487,6 @@ impl StatsSnapshot {
         self.noise_bits_consumed += noise_bits_consumed;
         self.batches_formed += batches_formed;
         self.batched_requests += batched_requests;
-        self.jobs_traditional += jobs_traditional;
-        self.jobs_hps += jobs_hps;
-        self.ntt_us += ntt_us;
-        self.basis_conv_us += basis_conv_us;
         self.arena_pooled_buffers += arena_pooled_buffers;
         self.arena_pooled_bytes += arena_pooled_bytes;
         self.arena_dropped += arena_dropped;
@@ -579,7 +501,7 @@ impl StatsSnapshot {
     pub fn audit_fields(&self) -> Vec<(String, f64, Fold)> {
         let StatsSnapshot {
             per_op,
-            exec_by_backend,
+            exec,
             queue_wait_by_level,
             per_tenant,
             jobs_submitted,
@@ -594,10 +516,6 @@ impl StatsSnapshot {
             noise_bits_consumed,
             batches_formed,
             batched_requests,
-            jobs_traditional,
-            jobs_hps,
-            ntt_us,
-            basis_conv_us,
             arena_pooled_buffers,
             arena_pooled_bytes,
             arena_dropped,
@@ -625,23 +543,9 @@ impl StatsSnapshot {
                 Fold::Max,
             ));
         }
-        for (name, h) in exec_by_backend {
-            out.push((
-                format!("exec_by_backend.{name}.count"),
-                h.count as f64,
-                Fold::Add,
-            ));
-            out.push((
-                format!("exec_by_backend.{name}.sum"),
-                h.sum as f64,
-                Fold::Add,
-            ));
-            out.push((
-                format!("exec_by_backend.{name}.max"),
-                h.max as f64,
-                Fold::Max,
-            ));
-        }
+        out.push(("exec.count".into(), exec.count as f64, Fold::Add));
+        out.push(("exec.sum".into(), exec.sum as f64, Fold::Add));
+        out.push(("exec.max".into(), exec.max as f64, Fold::Max));
         for (name, h) in queue_wait_by_level {
             out.push((
                 format!("queue_wait_by_level.{name}.count"),
@@ -687,10 +591,6 @@ impl StatsSnapshot {
             ("noise_bits_consumed", *noise_bits_consumed, Fold::Add),
             ("batches_formed", *batches_formed as f64, Fold::Add),
             ("batched_requests", *batched_requests as f64, Fold::Add),
-            ("jobs_traditional", *jobs_traditional as f64, Fold::Add),
-            ("jobs_hps", *jobs_hps as f64, Fold::Add),
-            ("ntt_us", *ntt_us, Fold::Add),
-            ("basis_conv_us", *basis_conv_us, Fold::Add),
             (
                 "arena_pooled_buffers",
                 *arena_pooled_buffers as f64,
@@ -730,16 +630,6 @@ impl std::fmt::Display for StatsSnapshot {
             "noise: {:.1} bits consumed; batching: {} requests in {} batches",
             self.noise_bits_consumed, self.batched_requests, self.batches_formed
         )?;
-        writeln!(
-            f,
-            "datapath: {} jobs HPS, {} jobs traditional",
-            self.jobs_hps, self.jobs_traditional
-        )?;
-        writeln!(
-            f,
-            "kernels: {:.1} µs transforms (NTT), {:.1} µs basis conversion (Lift/Scale)",
-            self.ntt_us, self.basis_conv_us
-        )?;
         for op in self.per_op.iter().filter(|o| o.count > 0) {
             writeln!(
                 f,
@@ -769,7 +659,6 @@ impl std::fmt::Display for StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hefv_core::eval::Backend;
 
     #[test]
     fn records_and_snapshots() {
@@ -781,8 +670,7 @@ mod tests {
         s.record_op("mul", 2000);
         s.record_op("mul", 4000);
         s.record_op("add", 100);
-        s.on_complete(6000, 42.5, 3.25, Backend::Auto);
-        s.on_kernel_time(30.25, 10.5);
+        s.on_complete(6000, 42.5, 3.25);
         s.on_dequeue(500, SchedLevel::Deadline);
         s.on_fail();
         s.on_batch(64);
@@ -797,12 +685,6 @@ mod tests {
         assert!((snap.sim_cost_us - 42.5).abs() < 1e-3);
         assert!((snap.noise_bits_consumed - 3.25).abs() < 1e-3);
         assert_eq!(snap.batched_requests, 64);
-        assert!((snap.ntt_us - 30.25).abs() < 1e-3);
-        assert!((snap.basis_conv_us - 10.5).abs() < 1e-3);
-        let mut folded = snap.clone();
-        folded.absorb(&snap);
-        assert!((folded.ntt_us - 60.5).abs() < 1e-3);
-        assert!((folded.basis_conv_us - 21.0).abs() < 1e-3);
 
         let mul = snap.per_op.iter().find(|o| o.name == "mul").unwrap();
         assert_eq!(mul.count, 2);
@@ -810,15 +692,8 @@ mod tests {
         assert!((mul.mean_us() - 3.0).abs() < 1e-9);
         assert_eq!(mul.latency.quantile(1.0), 4000);
 
-        // Backend::Auto resolves to HPS; its exec histogram got the job.
-        let hps = &snap
-            .exec_by_backend
-            .iter()
-            .find(|(n, _)| *n == "hps")
-            .unwrap()
-            .1;
-        assert_eq!(hps.count, 1);
-        assert_eq!(hps.max, 6000);
+        assert_eq!(snap.exec.count, 1);
+        assert_eq!(snap.exec.max, 6000);
         let sjf = &snap
             .queue_wait_by_level
             .iter()
@@ -928,11 +803,8 @@ mod tests {
         s.on_dequeue(500, SchedLevel::Deadline);
         s.on_dequeue(600, SchedLevel::Weighted);
         s.on_dequeue(700, SchedLevel::Shortest);
-        s.on_complete(900, 1.5, 0.5, Backend::Traditional);
-        s.on_complete(1100, 2.5, 0.75, Backend::Auto);
-        s.on_backend(Backend::Traditional);
-        s.on_backend(Backend::Auto);
-        s.on_kernel_time(3.0, 4.0);
+        s.on_complete(900, 1.5, 0.5);
+        s.on_complete(1100, 2.5, 0.75);
         s.on_fail();
         s.on_reject(); // submitted 5 → 4, depth 2 → 1
         s.on_refused();

@@ -31,8 +31,6 @@ pub struct SpanRecord {
     pub worker: usize,
     /// Whether execution succeeded.
     pub ok: bool,
-    /// Datapath label (`"traditional"` / `"hps"`).
-    pub backend: &'static str,
     /// Scheduler level that released the job (`"edf"` / `"weighted"` /
     /// `"sjf"`).
     pub level: &'static str,
@@ -60,14 +58,13 @@ impl fmt::Display for SpanRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "trace=0x{:016x} job={} tenant={} worker={} {} backend={} level={} \
+            "trace=0x{:016x} job={} tenant={} worker={} {} level={} \
              est={:.1}us batch={}ns queue={}ns exec={}ns reply={}ns total={}ns",
             self.trace_id,
             self.job_id,
             self.tenant,
             self.worker,
             if self.ok { "ok" } else { "FAILED" },
-            self.backend,
             self.level,
             self.est_cost_us,
             self.batch_ns,
@@ -190,7 +187,6 @@ mod tests {
             tenant: 7,
             worker: 0,
             ok: true,
-            backend: "hps",
             level: "sjf",
             est_cost_us: 1.0,
             batch_ns: 0,

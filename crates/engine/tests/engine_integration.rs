@@ -124,17 +124,6 @@ fn concurrent_multi_tenant_traffic_stays_correct() {
     assert_eq!(stats.queue_depth, 0);
     assert!(stats.per_op.iter().any(|o| o.name == "mul" && o.count == 4));
     assert!(stats.per_op.iter().any(|o| o.name == "add" && o.count == 8));
-    // The 4 Muls must attribute kernel time to both transforms and basis
-    // conversion under the cycle model; the adds contribute to neither.
-    assert!(stats.ntt_us > 0.0, "Muls charge NTT time");
-    assert!(stats.basis_conv_us > 0.0, "Muls charge Lift/Scale time");
-    assert!(
-        stats.ntt_us + stats.basis_conv_us <= stats.sim_cost_us + 1e-6,
-        "kernel split ({} + {}) cannot exceed total simulated cost ({})",
-        stats.ntt_us,
-        stats.basis_conv_us,
-        stats.sim_cost_us
-    );
     engine.shutdown();
 }
 

@@ -5,7 +5,6 @@
 //! agree. This is what makes the router-wide `HEVS` exposition honest:
 //! the fleet total is *defined* as the shard merge.
 
-use hefv_core::eval::Backend;
 use hefv_engine::stats::{EngineStats, Fold, StatsSnapshot, OP_KINDS};
 use hefv_engine::SchedLevel;
 use proptest::prelude::*;
@@ -42,20 +41,11 @@ fn replay(stats: &EngineStats, seed: u64, events: usize) {
                     rng.gen_range(1..5_000_000u64),
                     SchedLevel::ALL[rng.gen_range(0..SchedLevel::ALL.len())],
                 );
-                // `Auto` resolves to the HPS datapath, so both backend
-                // tables see traffic.
-                let backend = if rng.gen_bool(0.5) {
-                    Backend::Traditional
-                } else {
-                    Backend::Auto
-                };
-                stats.on_backend(backend);
                 let exec_ns = rng.gen_range(100..50_000_000u64);
                 stats.on_complete(
                     exec_ns,
                     rng.gen_range(1..100_000u64) as f64 / 8.0,
                     rng.gen_range(0..64_000u64) as f64 / 1000.0,
-                    backend,
                 );
                 stats.on_tenant(rng.gen_range(1..6u64), exec_ns, 0.25);
             }
@@ -64,12 +54,6 @@ fn replay(stats: &EngineStats, seed: u64, events: usize) {
         stats.record_op(op, rng.gen_range(1..10_000_000u64));
         if rng.gen_bool(0.2) {
             stats.on_batch(rng.gen_range(1..9usize));
-        }
-        if rng.gen_bool(0.3) {
-            stats.on_kernel_time(
-                rng.gen_range(0..9_000u64) as f64,
-                rng.gen_range(0..9_000u64) as f64,
-            );
         }
         if rng.gen_bool(0.05) {
             stats.on_slow();
@@ -87,7 +71,7 @@ fn replay(stats: &EngineStats, seed: u64, events: usize) {
     }
 }
 
-/// Exact for everything integer-derived; the four fixed-point f64
+/// Exact for everything integer-derived; the two fixed-point f64
 /// fields tolerate the one-ulp-scale difference between `Σ(xᵢ/1000)`
 /// and `(Σxᵢ)/1000`.
 fn assert_snapshots_agree(merged: &StatsSnapshot, union: &StatsSnapshot) {
@@ -101,7 +85,7 @@ fn assert_snapshots_agree(merged: &StatsSnapshot, union: &StatsSnapshot) {
             assert_eq!(m.latency.quantile(q), u.latency.quantile(q));
         }
     }
-    assert_eq!(merged.exec_by_backend, union.exec_by_backend);
+    assert_eq!(merged.exec, union.exec);
     assert_eq!(merged.queue_wait_by_level, union.queue_wait_by_level);
     assert_eq!(merged.per_tenant.len(), union.per_tenant.len());
     for (m, u) in merged.per_tenant.iter().zip(&union.per_tenant) {
@@ -186,7 +170,7 @@ fn concurrent_recording_loses_no_events() {
                 for i in 0..EVENTS {
                     stats.on_submit();
                     stats.on_dequeue(i + 1, SchedLevel::ALL[(i % 3) as usize]);
-                    stats.on_complete(i + 1, 0.5, 0.001, Backend::Traditional);
+                    stats.on_complete(i + 1, 0.5, 0.001);
                     stats.record_op("mul", rng.gen_range(1..1_000_000u64));
                     stats.on_tenant(t, i + 1, 0.001);
                 }

@@ -569,7 +569,6 @@ fn hevs_scrape_returns_metrics_and_matching_trace_ids() {
         "hefv_jobs_submitted_total",
         "hefv_jobs_completed_total",
         "hefv_op_latency_seconds",
-        "hefv_backend_latency_seconds",
         "hefv_queue_wait_seconds",
         "hefv_tenant_requests_total",
         "hefv_shard_up",

@@ -406,56 +406,6 @@ impl Coprocessor {
         self.run(&ops)
     }
 
-    /// Splits a hoisted rotation batch's instruction time into (transform
-    /// µs, basis-conversion µs); rotations never lift or scale, so the
-    /// second component is zero.
-    pub fn hoisted_rotations_kernel_split_us(
-        &self,
-        ctx: &FvContext,
-        rotations: usize,
-    ) -> (f64, f64) {
-        let p = ctx.params();
-        let rpaus = (p.k() + p.l()).div_ceil(2);
-        let ops =
-            hoisted_rotations_microcode(p.k(), p.k(), rpaus, p.n, rotations, self.mult_sync_us);
-        kernel_split_us(&ops, &self.cost, &self.clocks)
-    }
-
-    /// Splits one hoisted slot sum's instruction time into (transform µs,
-    /// basis-conversion µs).
-    pub fn sum_slots_kernel_split_us(&self, ctx: &FvContext) -> (f64, f64) {
-        let p = ctx.params();
-        let rpaus = (p.k() + p.l()).div_ceil(2);
-        let ops = sum_slots_microcode(
-            p.k(),
-            p.k(),
-            rpaus,
-            p.n,
-            hefv_core::galois::HOIST_GROUP_ROUNDS,
-            self.mult_sync_us,
-        );
-        kernel_split_us(&ops, &self.cost, &self.clocks)
-    }
-
-    /// Splits one `Mult`'s instruction time into (transform µs,
-    /// basis-conversion µs) — see [`kernel_split_us`].
-    pub fn mult_kernel_split_us(&self, ctx: &FvContext) -> (f64, f64) {
-        let p = ctx.params();
-        let rpaus = (p.k() + p.l()).div_ceil(2);
-        let ops = mult_microcode(p.k(), p.l(), p.k(), rpaus, p.n, self.mult_sync_us);
-        kernel_split_us(&ops, &self.cost, &self.clocks)
-    }
-
-    /// Splits one rotation's instruction time into (transform µs,
-    /// basis-conversion µs); rotations never lift or scale, so the second
-    /// component is zero.
-    pub fn rotate_kernel_split_us(&self, ctx: &FvContext) -> (f64, f64) {
-        let p = ctx.params();
-        let rpaus = (p.k() + p.l()).div_ceil(2);
-        let ops = rotate_microcode(p.k(), p.k(), rpaus, p.n, self.mult_sync_us);
-        kernel_split_us(&ops, &self.cost, &self.clocks)
-    }
-
     /// Executes a real multiplication (bit-exact against `hefv-core` with
     /// the HPS fixed-point backend — the datapath the RTL implements) and
     /// returns the result together with its timing report.
@@ -479,69 +429,6 @@ impl Coprocessor {
     ) -> (Ciphertext, OpReport) {
         (eval::add(ctx, a, b), self.run_add())
     }
-}
-
-/// Splits a microcode sequence's instruction time into the two kernel
-/// classes operators care about: **transform** time (NTT, inverse NTT and
-/// the Memory-Rearrange passes around them) and **basis-conversion** time
-/// (`Lift q→Q` / `Scale Q→q`). Coefficient-wise arithmetic, DMA and sync
-/// fall in neither bucket. Returns `(ntt_us, basis_conv_us)`.
-pub fn kernel_split_us(ops: &[Op], cost: &CostModel, clocks: &ClockConfig) -> (f64, f64) {
-    let mut ntt = 0u64;
-    let mut basis = 0u64;
-    for op in ops {
-        if let Op::Instr(i) = *op {
-            match i {
-                Instr::Ntt | Instr::InverseNtt | Instr::MemoryRearrange => {
-                    ntt += cost.instr_cycles(i);
-                }
-                Instr::Lift | Instr::Scale => basis += cost.instr_cycles(i),
-                _ => {}
-            }
-        }
-    }
-    (
-        clocks.fpga_cycles_to_us(ntt),
-        clocks.fpga_cycles_to_us(basis),
-    )
-}
-
-/// [`kernel_split_us`] for one `Mult` on the traditional-CRT coprocessor:
-/// transforms run on the shared RPAU model at the non-HPS clock, basis
-/// conversion is the long-integer `Lift`/`Scale` phases of
-/// [`trad_mult_us_for`].
-pub fn trad_mult_kernel_split_us(
-    ctx: &FvContext,
-    model: &TradCostModel,
-    clocks: &ClockConfig,
-) -> (f64, f64) {
-    let p = ctx.params();
-    let (k, l, n) = (p.k(), p.l(), p.n);
-    let digits = model.relin_digits.min(k);
-    let rpaus = (k + l).div_ceil(2);
-    let ops = mult_microcode(k, l, digits, rpaus, n, MULT_SYNC_US);
-    let (ntt_us, _) = kernel_split_us(&ops, &model.poly, clocks);
-    let lift_waves = 4usize.div_ceil(model.cores) as u64;
-    let scale_waves = 3usize.div_ceil(model.cores) as u64;
-    let basis_us = clocks.fpga_cycles_to_us(
-        lift_waves * n as u64 * model.lift_ii + scale_waves * n as u64 * model.scale_ii,
-    );
-    (ntt_us, basis_us)
-}
-
-/// [`kernel_split_us`] for one rotation on the traditional-CRT
-/// coprocessor (no `Lift`/`Scale`, so basis-conversion time is zero).
-pub fn trad_rotate_kernel_split_us(
-    ctx: &FvContext,
-    model: &TradCostModel,
-    clocks: &ClockConfig,
-) -> (f64, f64) {
-    let p = ctx.params();
-    let (k, l, n) = (p.k(), p.l(), p.n);
-    let digits = model.relin_digits.min(k);
-    let rpaus = (k + l).div_ceil(2);
-    let ops = rotate_microcode(k, digits, rpaus, n, MULT_SYNC_US);
-    kernel_split_us(&ops, &model.poly, clocks)
 }
 
 /// Prices a microcode sequence on the traditional polynomial datapath:
@@ -574,136 +461,6 @@ pub fn trad_mult_us(model: &TradCostModel, dma: &DmaModel, clocks: &ClockConfig)
     // Polynomial instructions: same microcode minus Lift/Scale.
     let ops = mult_microcode(6, 7, model.relin_digits, 7, model.poly.n, MULT_SYNC_US);
     lift_us + scale_us + trad_poly_us(&ops, model, dma, clocks)
-}
-
-/// Timing of one `Mult` on the traditional-CRT coprocessor for an
-/// arbitrary parameter set: the long-integer `Lift`/`Scale` phases scale
-/// with the ring degree `n` (one coefficient per initiation interval per
-/// core), while the polynomial instructions follow the same microcode as
-/// [`trad_mult_us`] with the traditional architecture's coarser
-/// relinearization digit count.
-pub fn trad_mult_us_for(
-    ctx: &FvContext,
-    model: &TradCostModel,
-    dma: &DmaModel,
-    clocks: &ClockConfig,
-) -> f64 {
-    let p = ctx.params();
-    let (k, l, n) = (p.k(), p.l(), p.n);
-    let digits = model.relin_digits.min(k);
-    let rpaus = (k + l).div_ceil(2);
-    // Four operand lifts and three result scales spread over the parallel
-    // single-core units, one coefficient per initiation interval.
-    let lift_waves = 4usize.div_ceil(model.cores) as u64;
-    let scale_waves = 3usize.div_ceil(model.cores) as u64;
-    let lift_us = clocks.fpga_cycles_to_us(lift_waves * n as u64 * model.lift_ii);
-    let scale_us = clocks.fpga_cycles_to_us(scale_waves * n as u64 * model.scale_ii);
-    let ops = mult_microcode(k, l, digits, rpaus, n, MULT_SYNC_US);
-    lift_us + scale_us + trad_poly_us(&ops, model, dma, clocks)
-}
-
-/// Timing of one Galois rotation on the traditional-CRT coprocessor: the
-/// key switch has no `Lift`/`Scale` at all, and the traditional
-/// architecture's coarser digit decomposition means fewer transforms and a
-/// smaller switching key to stream — which is why rotation-heavy jobs can
-/// favor the otherwise slower datapath.
-pub fn trad_rotate_us_for(
-    ctx: &FvContext,
-    model: &TradCostModel,
-    dma: &DmaModel,
-    clocks: &ClockConfig,
-) -> f64 {
-    let p = ctx.params();
-    let (k, l, n) = (p.k(), p.l(), p.n);
-    let digits = model.relin_digits.min(k);
-    let rpaus = (k + l).div_ceil(2);
-    let ops = rotate_microcode(k, digits, rpaus, n, MULT_SYNC_US);
-    trad_poly_us(&ops, model, dma, clocks)
-}
-
-/// Timing of one homomorphic `Add` on the traditional-CRT coprocessor:
-/// identical RPAU work, 225 MHz clock.
-pub fn trad_add_us(model: &TradCostModel, clocks: &ClockConfig) -> f64 {
-    clocks.fpga_cycles_to_us(model.poly.add_op_cycles())
-}
-
-/// Timing of a hoisted batch of `rotations` Galois rotations on the
-/// traditional-CRT coprocessor (same microcode as
-/// [`hoisted_rotations_microcode`], the architecture's coarser digit count
-/// and non-HPS clock; no `Lift`/`Scale` involved).
-pub fn trad_hoisted_rotations_us_for(
-    ctx: &FvContext,
-    model: &TradCostModel,
-    dma: &DmaModel,
-    clocks: &ClockConfig,
-    rotations: usize,
-) -> f64 {
-    let p = ctx.params();
-    let (k, l, n) = (p.k(), p.l(), p.n);
-    let digits = model.relin_digits.min(k);
-    let rpaus = (k + l).div_ceil(2);
-    let ops = hoisted_rotations_microcode(k, digits, rpaus, n, rotations, MULT_SYNC_US);
-    trad_poly_us(&ops, model, dma, clocks)
-}
-
-/// Timing of one hoisted slot sum on the traditional-CRT coprocessor.
-pub fn trad_sum_slots_us_for(
-    ctx: &FvContext,
-    model: &TradCostModel,
-    dma: &DmaModel,
-    clocks: &ClockConfig,
-) -> f64 {
-    let p = ctx.params();
-    let (k, l, n) = (p.k(), p.l(), p.n);
-    let digits = model.relin_digits.min(k);
-    let rpaus = (k + l).div_ceil(2);
-    let ops = sum_slots_microcode(
-        k,
-        digits,
-        rpaus,
-        n,
-        hefv_core::galois::HOIST_GROUP_ROUNDS,
-        MULT_SYNC_US,
-    );
-    trad_poly_us(&ops, model, dma, clocks)
-}
-
-/// [`kernel_split_us`] for a hoisted rotation batch on the
-/// traditional-CRT coprocessor.
-pub fn trad_hoisted_rotations_kernel_split_us(
-    ctx: &FvContext,
-    model: &TradCostModel,
-    clocks: &ClockConfig,
-    rotations: usize,
-) -> (f64, f64) {
-    let p = ctx.params();
-    let (k, l, n) = (p.k(), p.l(), p.n);
-    let digits = model.relin_digits.min(k);
-    let rpaus = (k + l).div_ceil(2);
-    let ops = hoisted_rotations_microcode(k, digits, rpaus, n, rotations, MULT_SYNC_US);
-    kernel_split_us(&ops, &model.poly, clocks)
-}
-
-/// [`kernel_split_us`] for one hoisted slot sum on the traditional-CRT
-/// coprocessor.
-pub fn trad_sum_slots_kernel_split_us(
-    ctx: &FvContext,
-    model: &TradCostModel,
-    clocks: &ClockConfig,
-) -> (f64, f64) {
-    let p = ctx.params();
-    let (k, l, n) = (p.k(), p.l(), p.n);
-    let digits = model.relin_digits.min(k);
-    let rpaus = (k + l).div_ceil(2);
-    let ops = sum_slots_microcode(
-        k,
-        digits,
-        rpaus,
-        n,
-        hefv_core::galois::HOIST_GROUP_ROUNDS,
-        MULT_SYNC_US,
-    );
-    kernel_split_us(&ops, &model.poly, clocks)
 }
 
 #[cfg(test)]
@@ -836,50 +593,26 @@ mod tests {
     fn hoisted_sum_slots_trades_transforms_for_key_dma() {
         // The grouped hoisted fold amortizes the decomposition transforms
         // (4 decompositions instead of 12) but streams the subset-product
-        // keys (28 instead of 12): on the paper's coprocessor, transform
-        // cycles shrink while DMA time grows — exactly what the cycle
-        // model must record so `Backend::Auto` prices it correctly.
+        // keys (28 instead of 12): transform calls shrink while DMA time
+        // grows.
         let cop = Coprocessor::default();
         let ctx = FvContext::new(FvParams::hpca19()).unwrap();
         let rounds = (ctx.params().n / 2).trailing_zeros() as f64 + 1.0;
-        let (sum_ntt_us, sum_basis_us) = cop.sum_slots_kernel_split_us(&ctx);
-        let (rot_ntt_us, _) = cop.rotate_kernel_split_us(&ctx);
-        assert!(
-            sum_ntt_us < rounds * rot_ntt_us,
-            "hoisting must amortize transform time: {sum_ntt_us} vs {}",
-            rounds * rot_ntt_us
-        );
-        // Rotations never lift/scale: basis-conversion time must be zero.
-        assert!(sum_ntt_us > 0.0);
-        assert_eq!(sum_basis_us, 0.0);
         let sum = cop.run_sum_slots(&ctx);
         let rot = cop.run_rotate(&ctx);
+        let calls = |r: &OpReport, i: Instr| r.calls.get(i.name()).copied().unwrap_or(0);
+        for transform in [Instr::Ntt, Instr::InverseNtt] {
+            assert!(
+                f64::from(calls(&sum, transform)) < rounds * f64::from(calls(&rot, transform)),
+                "hoisting must amortize {transform:?} calls"
+            );
+        }
+        // Rotations never lift or scale.
+        assert_eq!(calls(&sum, Instr::Lift) + calls(&sum, Instr::Scale), 0);
         assert!(
             sum.rlk_dma_us > rounds * rot.rlk_dma_us,
             "subset-product keys stream more DMA"
         );
-    }
-
-    #[test]
-    fn trad_hoisted_rotations_follow_the_same_shape() {
-        let ctx = FvContext::new(FvParams::hpca19()).unwrap();
-        let model = TradCostModel::default();
-        let dma = DmaModel::default();
-        let clocks = ClockConfig::non_hps();
-        let one = trad_hoisted_rotations_us_for(&ctx, &model, &dma, &clocks, 1);
-        let eight = trad_hoisted_rotations_us_for(&ctx, &model, &dma, &clocks, 8);
-        let full = trad_rotate_us_for(&ctx, &model, &dma, &clocks);
-        assert!((eight - one) / 7.0 < full);
-        let sum = trad_sum_slots_us_for(&ctx, &model, &dma, &clocks);
-        assert!(sum > full, "a slot sum is many rotations");
-        let rounds = (ctx.params().n / 2).trailing_zeros() as f64 + 1.0;
-        let (ntt_us, basis_us) = trad_sum_slots_kernel_split_us(&ctx, &model, &clocks);
-        let (rot_ntt_us, _) = trad_rotate_kernel_split_us(&ctx, &model, &clocks);
-        assert!(ntt_us > 0.0 && ntt_us < rounds * rot_ntt_us);
-        assert_eq!(basis_us, 0.0);
-        let (rn, rb) = trad_hoisted_rotations_kernel_split_us(&ctx, &model, &clocks, 3);
-        assert!(rn > 0.0);
-        assert_eq!(rb, 0.0);
     }
 
     #[test]
@@ -895,50 +628,6 @@ mod tests {
             (7.6..=9.0).contains(&ms),
             "traditional Mult modeled at {ms:.2} ms vs paper 8.3 ms"
         );
-    }
-
-    #[test]
-    fn generalized_trad_mult_matches_legacy_at_paper_shape() {
-        let ctx = FvContext::new(FvParams::hpca19()).unwrap();
-        let model = TradCostModel::default();
-        let dma = DmaModel::default();
-        let clocks = ClockConfig::non_hps();
-        let legacy = trad_mult_us(&model, &dma, &clocks);
-        let general = trad_mult_us_for(&ctx, &model, &dma, &clocks);
-        assert!(
-            (legacy - general).abs() < 1e-6,
-            "legacy {legacy} vs generalized {general}"
-        );
-    }
-
-    #[test]
-    fn trad_rotation_beats_hps_rotation() {
-        // The key switch skips Lift/Scale entirely, so the traditional
-        // architecture's faster clock and 3x smaller switching key win.
-        let cop = Coprocessor::default();
-        let ctx = FvContext::new(FvParams::hpca19()).unwrap();
-        let hps = cop.run_rotate(&ctx).total_us;
-        let trad = trad_rotate_us_for(
-            &ctx,
-            &TradCostModel::default(),
-            &DmaModel::default(),
-            &ClockConfig::non_hps(),
-        );
-        assert!(trad < hps, "traditional rotate {trad} vs HPS {hps}");
-    }
-
-    #[test]
-    fn trad_mult_advantage_flips_with_ring_degree() {
-        // Small rings: the long-integer Lift/Scale cores finish quickly and
-        // the 225 MHz clock wins. The paper's n = 4096: HPS wins (§VI-C).
-        let cop = Coprocessor::default();
-        let model = TradCostModel::default();
-        let dma = DmaModel::default();
-        let clocks = ClockConfig::non_hps();
-        let small = FvContext::new(FvParams::insecure_toy()).unwrap();
-        assert!(trad_mult_us_for(&small, &model, &dma, &clocks) < cop.run_mult(&small).total_us);
-        let paper = FvContext::new(FvParams::hpca19()).unwrap();
-        assert!(trad_mult_us_for(&paper, &model, &dma, &clocks) > cop.run_mult(&paper).total_us);
     }
 
     #[test]

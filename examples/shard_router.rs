@@ -1,11 +1,9 @@
 //! Sharded multi-engine serving: `ShardRouter` placing tenants across
-//! engine shards by consistent hashing, with per-job Traditional-vs-HPS
-//! datapath dispatch (`Backend::Auto`), per-tenant weights, deadlines and
-//! the shard-addressed wire seam.
+//! engine shards by consistent hashing, with cost-aware scheduling,
+//! per-tenant weights, deadlines and the shard-addressed wire seam.
 //!
 //! Run with: `cargo run --release --example shard_router`
 
-use hefv::core::eval::Backend;
 use hefv::core::prelude::*;
 use hefv::engine::prelude::*;
 use hefv::engine::router::ShardSpec;
@@ -21,11 +19,10 @@ fn main() -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(2019);
 
     // --- A three-shard fleet over one parameter set. --------------------
-    // Every shard runs Backend::Auto: the scheduler prices each job on
-    // both the HPS (Table II) and traditional-CRT (§VI-C) cycle models
-    // and executes on the cheaper datapath.
+    // Each shard prices every job on the HPS cycle model (Table II) and
+    // orders its queue by that price.
     let router = ShardRouter::new();
-    for name in ["auto-0", "auto-1", "auto-2"] {
+    for name in ["shard-0", "shard-1", "shard-2"] {
         router
             .add_shard(ShardSpec {
                 name: name.into(),
@@ -33,7 +30,6 @@ fn main() -> Result<(), String> {
                 config: EngineConfig {
                     workers: 2,
                     threads_per_job: 1,
-                    backend: Backend::Auto,
                     ..EngineConfig::default()
                 },
             })
@@ -68,9 +64,6 @@ fn main() -> Result<(), String> {
         .map_err(String::from)?;
 
     // --- Mixed traffic: Mult-heavy and rotation-heavy jobs. -------------
-    // On this small ring the traditional datapath wins Mult (its
-    // long-integer Lift/Scale scales with n) AND the key switch (3x
-    // smaller switching key); at the paper's n = 4096 Mult flips to HPS.
     let mut handles = Vec::new();
     let mut expected = Vec::new();
     for tenant in &tenants {
@@ -122,11 +115,6 @@ fn main() -> Result<(), String> {
 
     // --- Fleet telemetry. ----------------------------------------------
     println!("\n{}", router.stats());
-    let total = router.stats().total;
-    println!(
-        "datapath dispatch: {} traditional vs {} HPS (Auto picked per job)",
-        total.jobs_traditional, total.jobs_hps
-    );
     router.shutdown();
     Ok(())
 }

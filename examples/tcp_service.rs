@@ -213,7 +213,6 @@ fn main() -> Result<(), String> {
         "hefv_jobs_completed_total",
         "hefv_jobs_rejected_total",
         "hefv_op_latency_seconds",
-        "hefv_backend_latency_seconds",
         "hefv_queue_wait_seconds",
         "hefv_tenant_requests_total",
         "hefv_shard_up",
