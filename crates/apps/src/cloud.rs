@@ -249,7 +249,9 @@ mod tests {
         let server = CloudServer::start(Arc::clone(&ctx), rlk, 2);
         let t = ctx.params().t;
         let n = ctx.params().n;
-        let cts: Vec<Ciphertext> = (1..=8u64)
+        // Enough toy Mults (~30 µs each) that the queue outlasts the
+        // second worker's wake-up latency on a loaded 2-vCPU host.
+        let cts: Vec<Ciphertext> = (1..=32u64)
             .map(|v| encrypt(&ctx, &pk, &Plaintext::new(vec![v % t], t, n), &mut rng))
             .collect();
         // Fire all requests first, then collect.

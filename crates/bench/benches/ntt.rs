@@ -16,6 +16,12 @@
 //! without AVX2 the comparison is skipped and the report says so — CI
 //! gates the SIMD ratio only when the fresh report ran on AVX2.
 //!
+//! The lane report also times the two HPS basis conversions the `Mult`
+//! path runs, `Lift q→Q` and `Scale Q→q` over a whole polynomial (paper
+//! shape: n = 4096, 6 + 7 primes, fixed-point quotient), and records
+//! their combined simd-vs-scalar ratio as
+//! `acceptance.lift_scale_speedup_simd_vs_scalar`.
+//!
 //! Environment knobs:
 //! * `BENCH_PR4_OUT` / `BENCH_PR7_OUT` — output paths for the JSON reports.
 //! * `BENCH_PR4_QUICK` / `BENCH_PR7_QUICK` — any value shrinks the
@@ -25,8 +31,8 @@ use hefv_core::eval::{self, Backend};
 use hefv_core::prelude::*;
 use hefv_math::dispatch::{self, Kernels};
 use hefv_math::ntt::NttTable;
-use hefv_math::primes::ntt_prime;
-use hefv_math::rns::HpsPrecision;
+use hefv_math::primes::{ntt_prime, ntt_primes};
+use hefv_math::rns::{HpsPrecision, RnsContext, ScaleContext};
 use hefv_math::zq::Modulus;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -105,6 +111,37 @@ fn lane_times(k: &'static Kernels, table: &NttTable, input: &[u64], quick: bool)
         quick,
     ) * 1e6;
     [fwd, inv, pw, sop]
+}
+
+/// Times whole-polynomial HPS `Lift` and `Scale` (fixed-point quotient)
+/// through one kernel table; returns `[lift_us, scale_us]`.
+fn hps_lane_times(k: &'static Kernels, ctx: &RnsContext, n: usize, quick: bool) -> [f64; 2] {
+    let sc = ScaleContext::new(ctx, 2);
+    let (kq, kp) = (ctx.base_q().len(), ctx.base_p().len());
+    let rows = |b: &hefv_math::RnsBasis| -> Vec<u64> {
+        (0..b.len() * n)
+            .map(|i| (i as u64 * 2654435761 + 17) % b.modulus(i / n).value())
+            .collect()
+    };
+    let (lift_in, scale_in) = (rows(ctx.base_q()), rows(ctx.base_full()));
+    let prec = HpsPrecision::Fixed;
+    let mut out = vec![0u64; kp * n];
+    let lift = measure(
+        || {
+            k.hps_extend_cols(ctx.lift(), &lift_in, n, 0..n, &mut out, prec);
+            black_box(&mut out);
+        },
+        quick,
+    ) * 1e6;
+    let mut out = vec![0u64; kq * n];
+    let scale = measure(
+        || {
+            k.hps_scale_cols(&sc, ctx, &scale_in, n, 0..n, &mut out, prec);
+            black_box(&mut out);
+        },
+        quick,
+    ) * 1e6;
+    [lift, scale]
 }
 
 fn main() {
@@ -249,6 +286,23 @@ fn main() {
     }
     let ntt_speedup = (s[0] + s[1]) / (v[0] + v[1]);
     println!("  forward+inverse NTT simd-vs-scalar speedup ×{ntt_speedup:.2}");
+    let primes = ntt_primes(30, n, 13).unwrap();
+    let rns = RnsContext::new(&primes[..6], &primes[6..]).unwrap();
+    let hs = hps_lane_times(scalar, &rns, n, quick);
+    let hv = match avx2 {
+        Some(k) => hps_lane_times(k, &rns, n, quick),
+        None => hs,
+    };
+    for (name, i) in [("lift     ", 0), ("scale    ", 1)] {
+        println!(
+            "  {name} scalar {:9.2} µs   simd {:9.2} µs   ×{:.2}",
+            hs[i],
+            hv[i],
+            hs[i] / hv[i]
+        );
+    }
+    let hps_speedup = (hs[0] + hs[1]) / (hv[0] + hv[1]);
+    println!("  lift+scale simd-vs-scalar speedup ×{hps_speedup:.2}");
     let json7 = format!(
         concat!(
             "{{\n",
@@ -275,8 +329,19 @@ fn main() {
             "    \"simd_us\": {vs:.3},\n",
             "    \"speedup\": {os:.3}\n",
             "  }},\n",
+            "  \"lift\": {{\n",
+            "    \"scalar_us\": {sl:.3},\n",
+            "    \"simd_us\": {vl:.3},\n",
+            "    \"speedup\": {ls:.3}\n",
+            "  }},\n",
+            "  \"scale\": {{\n",
+            "    \"scalar_us\": {sc:.3},\n",
+            "    \"simd_us\": {vc:.3},\n",
+            "    \"speedup\": {cc:.3}\n",
+            "  }},\n",
             "  \"acceptance\": {{\n",
-            "    \"ntt_forward_plus_inverse_speedup_simd_vs_scalar\": {cs:.3}\n",
+            "    \"ntt_forward_plus_inverse_speedup_simd_vs_scalar\": {cs:.3},\n",
+            "    \"lift_scale_speedup_simd_vs_scalar\": {hp:.3}\n",
             "  }}\n",
             "}}\n"
         ),
@@ -296,6 +361,13 @@ fn main() {
         ss = s[3],
         vs = v[3],
         os = s[3] / v[3],
+        sl = hs[0],
+        vl = hv[0],
+        ls = hs[0] / hv[0],
+        sc = hs[1],
+        vc = hv[1],
+        cc = hs[1] / hv[1],
+        hp = hps_speedup,
     );
     let out7 = std::env::var("BENCH_PR7_OUT").unwrap_or_else(|_| "BENCH_PR7.json".into());
     std::fs::write(&out7, json7).expect("write lane-comparison report");

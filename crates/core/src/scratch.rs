@@ -170,8 +170,8 @@ impl Arena {
 
     /// Takes a buffer of exactly `len` elements with **unspecified
     /// contents** (callers that overwrite every element skip the zeroing
-    /// pass). Reuses the pooled buffer with the largest capacity when one
-    /// exists, growing it if needed.
+    /// pass). Reuses the most recently returned pooled buffer when one
+    /// exists (whatever its capacity), growing it if needed.
     pub fn take(&self, len: usize) -> Vec<u64> {
         let mut buf = {
             let mut pool = self.pool.lock().unwrap();

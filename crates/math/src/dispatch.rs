@@ -1,9 +1,11 @@
-//! Runtime-dispatched kernel seam for the three dominant kernels.
+//! Runtime-dispatched kernel seam for the dominant kernels.
 //!
-//! Per-op telemetry shows NTTs, pointwise (Hadamard) products and the
-//! hoisted key-switch sum-of-products dominate eval time; this module is
-//! the single seam those hot paths route through. A [`Kernels`] table of
-//! function pointers is selected **once** per process:
+//! Measured per-op and per-kernel time shows where eval time goes: the
+//! NTTs, the pointwise (Hadamard) products, the hoisted key-switch
+//! sum-of-products, and the two HPS basis conversions of every `Mult` —
+//! `Lift q→Q` and `Scale Q→q`. This module is the single seam those hot
+//! paths route through. A [`Kernels`] table of function pointers is
+//! selected **once** per process:
 //!
 //! 1. `HEFV_KERNEL=scalar|avx2` — explicit choice (an unavailable or
 //!    unknown value falls back to auto-detection, never a crash);
@@ -13,13 +15,25 @@
 //!    implementations in the crate-private `simd` module when the CPU
 //!    has them.
 //!
-//! The scalar implementations are the pre-existing portable code, kept
-//! verbatim ([`NttTable::forward_scalar`] and friends); every vector
-//! kernel is **bit-identical** to its scalar counterpart because all
-//! dispatched kernels end with an exact reduction to the canonical
-//! `[0, q)` representative (see the `simd` module source for the lane-range
-//! argument, and `tests/simd_equivalence.rs` for the proptest pinning
-//! it). The seam is also the intended landing point for a future real
+//! The scalar NTT, pointwise and SoP implementations are the pre-existing
+//! portable code, kept verbatim ([`NttTable::forward_scalar`] and
+//! friends); every vector kernel is **bit-identical** to its scalar
+//! counterpart because all dispatched kernels end with an exact reduction
+//! to the canonical `[0, q)` representative (see the `simd` module source
+//! for the lane-range argument, and `tests/simd_equivalence.rs` for the
+//! proptest pinning it).
+//!
+//! The two basis-conversion entries, [`Kernels::hps_extend_cols`] (Lift)
+//! and [`Kernels::hps_scale_cols`] (Scale), stream column blocks through
+//! three per-lane block kernels (premultiply, quotient, sum of products;
+//! see [`crate::rns`] for the 32-bit lane, overflow and fold argument).
+//! Both lanes, in both [`HpsPrecision`]s, are bit-exact with the
+//! per-coefficient oracles [`Extender::extend_hps`] and
+//! [`ScaleContext::scale_hps`] on every column — for any residues
+//! (canonical or not) over bases of primes in `[2^29, 2^31)`, the range
+//! `SmallReciprocal` admits.
+//!
+//! The seam is also the intended landing point for a future real
 //! accelerator backend: a backend supplies one more `Kernels` table, and
 //! every call site upstream is already routed.
 //!
@@ -27,7 +41,9 @@
 //! and [`avx2_kernels`] to compare both paths in one process.
 
 use crate::ntt::NttTable;
+use crate::rns::{Extender, HpsConv, HpsPrecision, RnsContext, ScaleContext, HPS_BLOCK};
 use crate::zq::Modulus;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Which lane implementation a [`Kernels`] table uses.
@@ -61,6 +77,9 @@ pub struct Kernels {
     #[allow(clippy::type_complexity)]
     sop_narrow_row:
         fn(&Modulus, &[u32], &[u32], &[u32], &[u32], Option<&[u64]>, &mut [u64], &mut [u64]),
+    hps_premultiply: fn(&HpsConv, &[u64], usize, usize, &mut [u32]),
+    hps_quotient: fn(&HpsConv, &[u32], HpsPrecision, &mut [u64]),
+    hps_sop: fn(&HpsConv, &[u32], &[u64], &mut [u64], usize),
 }
 
 impl Kernels {
@@ -198,6 +217,93 @@ impl Kernels {
         }
         (self.sop_narrow_row)(m, perm, digits, ksk0, ksk1, c0_row, acc0, acc1)
     }
+
+    /// HPS `Lift` of a column range of a flat polynomial on this table's
+    /// lane; layout and panics as in
+    /// [`Extender::extend_poly_hps_cols_into`], which calls it on the
+    /// process-wide table. Bit-identical to [`Extender::extend_hps`] on
+    /// every column, in either lane and either precision.
+    pub fn hps_extend_cols(
+        &self,
+        ext: &Extender,
+        src: &[u64],
+        n: usize,
+        cols: Range<usize>,
+        out: &mut [u64],
+        precision: HpsPrecision,
+    ) {
+        ext.extend_cols_with(self, src, n, cols, out, precision)
+    }
+
+    /// HPS `Scale Q→q` of a column range of a flat polynomial on this
+    /// table's lane; layout and panics as in
+    /// [`ScaleContext::scale_poly_hps_cols_into`], which calls it on the
+    /// process-wide table. Bit-identical to [`ScaleContext::scale_hps`] on
+    /// every column, in either lane and either precision.
+    #[allow(clippy::too_many_arguments)]
+    pub fn hps_scale_cols(
+        &self,
+        sc: &ScaleContext,
+        ctx: &RnsContext,
+        src: &[u64],
+        n: usize,
+        cols: Range<usize>,
+        out: &mut [u64],
+        precision: HpsPrecision,
+    ) {
+        sc.scale_cols_with(self, ctx, src, n, cols, out, precision)
+    }
+
+    /// Basis-conversion block, step 1: `ys[i·B + c] = src[i·stride + c]·w_i
+    /// mod s_i` for the `width ≤ B` columns of every source row, with
+    /// `B = HPS_BLOCK` (both lanes slice each row, so bounds are checked).
+    pub(crate) fn hps_premultiply(
+        &self,
+        conv: &HpsConv,
+        src: &[u64],
+        stride: usize,
+        width: usize,
+        ys: &mut [u32],
+    ) {
+        assert!(width <= HPS_BLOCK, "HPS block too wide");
+        (self.hps_premultiply)(conv, src, stride, width, ys)
+    }
+
+    /// Basis-conversion block, step 2: the rounded quotient of each of the
+    /// `seeds.len()` columns.
+    pub(crate) fn hps_quotient(
+        &self,
+        conv: &HpsConv,
+        ys: &[u32],
+        precision: HpsPrecision,
+        seeds: &mut [u64],
+    ) {
+        assert!(
+            seeds.len() <= HPS_BLOCK && ys.len() >= conv.frac_limbs.len() * HPS_BLOCK,
+            "HPS quotient block out of bounds"
+        );
+        (self.hps_quotient)(conv, ys, precision, seeds)
+    }
+
+    /// Basis-conversion block, step 3: output `j` of column `c` into
+    /// `out[j·stride + c]`, for the `seeds.len()` columns.
+    pub(crate) fn hps_sop(
+        &self,
+        conv: &HpsConv,
+        ys: &[u32],
+        seeds: &[u64],
+        out: &mut [u64],
+        stride: usize,
+    ) {
+        let width = seeds.len();
+        assert!(
+            width <= HPS_BLOCK
+                && ys.len() >= conv.rows() * HPS_BLOCK
+                && out.len() >= (conv.dest.len() - 1) * stride + width,
+            "HPS sum-of-products block out of bounds"
+        );
+        (self.hps_sop)(conv, ys, seeds, out, stride)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -263,6 +369,35 @@ fn sop_narrow_row_scalar(
     }
 }
 
+fn hps_premultiply_scalar(
+    conv: &HpsConv,
+    src: &[u64],
+    stride: usize,
+    width: usize,
+    ys: &mut [u32],
+) {
+    for i in 0..conv.rows() {
+        let row = &src[i * stride..i * stride + width];
+        for (y, &a) in ys[i * HPS_BLOCK..].iter_mut().zip(row) {
+            *y = conv.premultiply(i, a);
+        }
+    }
+}
+
+fn hps_quotient_scalar(conv: &HpsConv, ys: &[u32], precision: HpsPrecision, seeds: &mut [u64]) {
+    for (c, seed) in seeds.iter_mut().enumerate() {
+        *seed = conv.quotient_col(ys, c, precision);
+    }
+}
+
+fn hps_sop_scalar(conv: &HpsConv, ys: &[u32], seeds: &[u64], out: &mut [u64], stride: usize) {
+    for j in 0..conv.dest.len() {
+        for (c, &seed) in seeds.iter().enumerate() {
+            out[j * stride + c] = conv.sop_col(ys, seed, j, c);
+        }
+    }
+}
+
 static SCALAR: Kernels = Kernels {
     backend: KernelBackend::Scalar,
     ntt_forward: ntt_forward_scalar,
@@ -271,6 +406,9 @@ static SCALAR: Kernels = Kernels {
     pointwise_mul_assign: pointwise_mul_assign_scalar,
     pointwise_mul_acc: pointwise_mul_acc_scalar,
     sop_narrow_row: sop_narrow_row_scalar,
+    hps_premultiply: hps_premultiply_scalar,
+    hps_quotient: hps_quotient_scalar,
+    hps_sop: hps_sop_scalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -280,7 +418,9 @@ static SCALAR: Kernels = Kernels {
 
 // Safety of every `unsafe` call below: these functions are only reachable
 // through the `AVX2` table, which is only ever handed out after
-// `is_x86_feature_detected!("avx2")` returned true.
+// `is_x86_feature_detected!("avx2")` returned true. The HPS quotient and
+// sum-of-products kernels are only called by the `Kernels::hps_*`
+// methods, which assert the slice bounds their raw-pointer loops rely on.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::*;
@@ -345,6 +485,18 @@ mod avx2 {
         }
     }
 
+    fn hps_premultiply(conv: &HpsConv, src: &[u64], stride: usize, width: usize, ys: &mut [u32]) {
+        unsafe { simd::hps_premultiply(conv, src, stride, width, ys) }
+    }
+
+    fn hps_quotient(conv: &HpsConv, ys: &[u32], precision: HpsPrecision, seeds: &mut [u64]) {
+        unsafe { simd::hps_quotient(conv, ys, precision, seeds) }
+    }
+
+    fn hps_sop(conv: &HpsConv, ys: &[u32], seeds: &[u64], out: &mut [u64], stride: usize) {
+        unsafe { simd::hps_sop(conv, ys, seeds, out, stride) }
+    }
+
     pub(super) static TABLE: Kernels = Kernels {
         backend: KernelBackend::Avx2,
         ntt_forward,
@@ -353,6 +505,9 @@ mod avx2 {
         pointwise_mul_assign,
         pointwise_mul_acc,
         sop_narrow_row,
+        hps_premultiply,
+        hps_quotient,
+        hps_sop,
     };
 }
 

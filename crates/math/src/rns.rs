@@ -18,18 +18,61 @@
 //! perturbs the result by one multiple of the source modulus, which FV
 //! absorbs as noise (§IV-C: "This negligible error has in practice no impact
 //! on the correctness of HE").
+//!
+//! # Column-blocked HPS kernels
+//!
+//! The polynomial paths ([`Extender::extend_poly_hps_cols_into`],
+//! [`ScaleContext::scale_poly_hps_cols_into`]) stream blocks of 64
+//! coefficients through three kernels of the [`crate::dispatch::Kernels`]
+//! seam, mirroring the blocks of Fig. 6/9:
+//!
+//! 1. **Premultiply** every limb row by a Shoup constant,
+//!    `y_i = a_i·w_i mod s_i`, exact and canonical, stored as `u32` lanes
+//!    (every HPS modulus is below `2^31`, which [`SmallReciprocal`]
+//!    enforces).
+//! 2. **Quotient** per column. `Fixed` splits each reciprocal word (the
+//!    60-bit [`SmallReciprocal`] word for Lift, the 64-bit `frac(t·p/q_i)`
+//!    for Scale) into three 22-bit limbs: every partial sum
+//!    `Σ y_i·limb_i < 2^31·2^22·64 = 2^59` fits a `u64`, and the three
+//!    recombine with shifts into the same integer the `u128` oracle
+//!    rounds. `F64` keeps the oracle's per-column `Σ y_i·r_i` in the same
+//!    `i` order with separate multiply and add (no FMA), so both
+//!    precisions are bit-identical to [`Extender::extend_hps`] /
+//!    [`ScaleContext::scale_hps`].
+//! 3. **Sum of products** against a dest-major `u32` table: 32×32→64-bit
+//!    products accumulate in `u64`, seeded with the quotient's
+//!    contribution, and each output takes one single-word Barrett
+//!    reduction. Products are `< 2^62`, so the accumulator takes a partial
+//!    reduction every `T` terms, with `T` fixed when the tables are built
+//!    from the actual moduli (`T ≥ 15` for 30-bit primes, so the paper's
+//!    6 + 7 limbs never fold; `T ≥ 3` up to the 31-bit ceiling).
+//!
+//! Scale step 2 runs the Lift block again on the `d_p` block it just
+//! produced, as the paper reuses the Lift datapath. All scratch lives on
+//! the stack, so the hot loops allocate nothing.
 
 use crate::bigint::{center, IBig, UBig};
+use crate::dispatch::{self, Kernels};
 use crate::fixed::SmallReciprocal;
-use crate::zq::Modulus;
+use crate::zq::{Modulus, ShoupMul};
 use serde::{Deserialize, Serialize};
 
 /// Upper bound on RNS limbs per basis supported by the allocation-free
-/// column-streaming kernels (their per-coefficient scratch rows live on the
-/// stack at this size, so the hot loops perform zero heap allocation). Far
-/// above any realistic parameter set — the paper's largest shape uses
-/// 12 + 13 limbs.
+/// column-blocked kernels. Their scratch blocks live on the stack at this
+/// size, so the hot loops perform zero heap allocation. The bound also
+/// keeps the quotient's limb sums exact: `MAX_STREAM_LIMBS` products of a
+/// `y < 2^31` and a 22-bit limb stay below `2^59`. (The cross-basis sums
+/// have no such limit: they fold in a partial reduction every `T` terms.)
+/// Far above any realistic parameter set — Table V's largest shape uses
+/// 48 + 49 limbs.
 pub const MAX_STREAM_LIMBS: usize = 64;
+
+/// Coefficients per block of the column-blocked HPS kernels (the row
+/// stride of their `u32` scratch).
+pub(crate) const HPS_BLOCK: usize = 64;
+
+/// Width of the limbs the quotient fractions are split into.
+pub(crate) const FRAC_LIMB_BITS: u32 = 22;
 
 /// Which arithmetic computes the HPS approximate quotient.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -38,6 +81,183 @@ pub enum HpsPrecision {
     F64,
     /// The paper's 89-bit fixed-point reciprocals stored in ROM (§V-B2).
     Fixed,
+}
+
+/// One HPS basis conversion laid out for the column-blocked kernels:
+///
+/// ```text
+/// y_i   = a_i·w_i mod s_i                       (every source row i)
+/// seed  = ⌈Σ_{i<r} y_i·f_i⌋                      (the first r rows)
+/// out_j = (seed·seed_mul_j + Σ_i y_i·table[j][i]) mod m_j
+/// ```
+///
+/// Lift `q→p` has `f_i = 1/q_i` and `seed_mul_j = −(q mod p_j)`; Scale
+/// step 1 has source rows `q ∥ p`, `f_i = frac(t·p/q_i)` over the q rows
+/// and `seed_mul_j = 1`.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub(crate) struct HpsConv {
+    /// Premultiply constant of each source row with the row's modulus.
+    pub(crate) pre: Vec<(ShoupMul, u64)>,
+    /// Quotient fractions in Q`frac_bits`, split into three
+    /// [`FRAC_LIMB_BITS`]-bit limbs (least significant first).
+    pub(crate) frac_limbs: Vec<[u32; 3]>,
+    pub(crate) frac_bits: u32,
+    /// The same fractions as doubles.
+    pub(crate) frac_f64: Vec<f64>,
+    /// Dest-major products table: `table[j·rows + i]`.
+    pub(crate) table: Vec<u32>,
+    pub(crate) seed_mul: Vec<u32>,
+    pub(crate) dest: Vec<Modulus>,
+    /// `2^32 mod m_j` as a Shoup pair (the vector lane's reduction folds
+    /// an accumulator's high word with it).
+    pub(crate) dest_pow32: Vec<ShoupMul>,
+    /// Products an accumulator takes between partial reductions.
+    pub(crate) fold: usize,
+}
+
+impl HpsConv {
+    /// Lays out the tables. `seed_max` bounds the rounded quotient;
+    /// `table_t[i][j]` is the product constant of source row `i` and
+    /// destination `j`.
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        pre: Vec<(ShoupMul, u64)>,
+        frac: &[u64],
+        frac_bits: u32,
+        frac_f64: Vec<f64>,
+        table_t: &[Vec<u64>],
+        seed_mul: &[u64],
+        seed_max: u64,
+        dest: &[Modulus],
+    ) -> Self {
+        assert!(
+            pre.iter().all(|&(_, q)| q < 1 << 31) && dest.iter().all(|m| m.value() < 1 << 31),
+            "HPS moduli must be below 2^31"
+        );
+        // Three 22-bit limbs hold any 64-bit fraction word.
+        let mask = (1u64 << FRAC_LIMB_BITS) - 1;
+        let frac_limbs = frac
+            .iter()
+            .map(|&f| [0, 1, 2].map(|l| ((f >> (l * FRAC_LIMB_BITS)) & mask) as u32))
+            .collect();
+        let table: Vec<u32> = (0..dest.len())
+            .flat_map(|j| table_t.iter().map(move |row| row[j] as u32))
+            .collect();
+        let seed_mul: Vec<u32> = seed_mul.iter().map(|&s| s as u32).collect();
+        // An accumulator starts below `start` (the seed product, or a
+        // residue after a partial reduction) and may take `fold` products
+        // of at most `term` before the next reduction.
+        let src_max = pre.iter().map(|&(_, q)| q - 1).max().unwrap_or(0) as u128;
+        let term = (src_max * table.iter().copied().max().unwrap_or(0) as u128).max(1);
+        let start = (seed_max as u128 * seed_mul.iter().copied().max().unwrap_or(0) as u128)
+            .max(dest.iter().map(|m| m.value()).max().unwrap_or(0) as u128);
+        let fold = ((u64::MAX as u128).saturating_sub(start) / term).min(usize::MAX as u128);
+        assert!(
+            fold >= 1,
+            "HPS accumulator bound too tight for these moduli"
+        );
+        HpsConv {
+            pre,
+            frac_limbs,
+            frac_bits,
+            frac_f64,
+            table,
+            seed_mul,
+            dest: dest.to_vec(),
+            dest_pow32: dest
+                .iter()
+                .map(|m| ShoupMul::new((1 << 32) % m.value(), m.value()))
+                .collect(),
+            fold: fold as usize,
+        }
+    }
+
+    /// Source rows (the products table's row length).
+    pub(crate) fn rows(&self) -> usize {
+        self.pre.len()
+    }
+
+    /// `y = a·w_i mod s_i` for source row `i` and any `a < 2^64`.
+    #[inline(always)]
+    pub(crate) fn premultiply(&self, i: usize, a: u64) -> u32 {
+        let (w, q) = self.pre[i];
+        w.mul(a, q) as u32
+    }
+
+    /// Recombines the three limb sums `s_l = Σ y_i·limb_l(f_i)` into
+    /// `⌈Σ y_i·f_i / 2^frac_bits⌋`: carrying the low sums up gives
+    /// `b = ⌊Σ y_i·f_i / 2^44⌋` exactly, and since `2^(frac_bits−1)` is a
+    /// multiple of `2^44`, rounding `b` by the remaining shift rounds the
+    /// full sum.
+    #[inline(always)]
+    pub(crate) fn round_limb_sums(&self, s: [u64; 3]) -> u64 {
+        let b = (((s[0] >> FRAC_LIMB_BITS) + s[1]) >> FRAC_LIMB_BITS) + s[2];
+        let shift = self.frac_bits - 2 * FRAC_LIMB_BITS;
+        (b + (1 << (shift - 1))) >> shift
+    }
+
+    /// The rounded quotient of block column `c`.
+    pub(crate) fn quotient_col(&self, ys: &[u32], c: usize, precision: HpsPrecision) -> u64 {
+        match precision {
+            HpsPrecision::F64 => {
+                let mut s = 0.0f64;
+                for (i, &f) in self.frac_f64.iter().enumerate() {
+                    s += ys[i * HPS_BLOCK + c] as f64 * f;
+                }
+                s.round() as u64
+            }
+            HpsPrecision::Fixed => {
+                let mut s = [0u64; 3];
+                for (i, limbs) in self.frac_limbs.iter().enumerate() {
+                    let y = ys[i * HPS_BLOCK + c] as u64;
+                    for (acc, &l) in s.iter_mut().zip(limbs) {
+                        *acc += y * l as u64;
+                    }
+                }
+                self.round_limb_sums(s)
+            }
+        }
+    }
+
+    /// Output `j` of block column `c`, from that column's quotient
+    /// `seed`: one reduction per output, plus a partial one every `fold`
+    /// products.
+    pub(crate) fn sop_col(&self, ys: &[u32], seed: u64, j: usize, c: usize) -> u64 {
+        let m = &self.dest[j];
+        let rows = self.rows();
+        let mut acc = seed * self.seed_mul[j] as u64;
+        let row = &self.table[j * rows..(j + 1) * rows];
+        for (ci, chunk) in row.chunks(self.fold).enumerate() {
+            if ci > 0 {
+                acc = m.reduce_u64(acc);
+            }
+            let base = ci * self.fold;
+            for (i, &t) in chunk.iter().enumerate() {
+                acc += ys[(base + i) * HPS_BLOCK + c] as u64 * t as u64;
+            }
+        }
+        m.reduce_u64(acc)
+    }
+
+    /// One block of `seeds.len()` columns: premultiply the rows of `src`
+    /// (row stride `src_stride`) into `ys`, form the quotients, and write
+    /// output `j` of column `c` to `out[j·out_stride + c]`.
+    #[allow(clippy::too_many_arguments)]
+    fn run_block(
+        &self,
+        kern: &Kernels,
+        src: &[u64],
+        src_stride: usize,
+        precision: HpsPrecision,
+        ys: &mut [u32],
+        seeds: &mut [u64],
+        out: &mut [u64],
+        out_stride: usize,
+    ) {
+        kern.hps_premultiply(self, src, src_stride, seeds.len(), ys);
+        kern.hps_quotient(self, ys, precision, seeds);
+        kern.hps_sop(self, ys, seeds, out, out_stride);
+    }
 }
 
 /// An RNS basis: pairwise-coprime moduli `m_0, …, m_{k-1}` with the CRT
@@ -190,31 +410,57 @@ pub struct Extender {
     recips: Vec<SmallReciprocal>,
     /// `1.0 / m_i` as doubles.
     recips_f64: Vec<f64>,
+    /// The same conversion laid out for the column-blocked kernels.
+    conv: HpsConv,
 }
 
 impl Extender {
     /// Precomputes the extension tables between two bases.
     pub fn new(from: &RnsBasis, to: &RnsBasis) -> Self {
-        let cross = (0..from.len())
+        let cross: Vec<Vec<u64>> = (0..from.len())
             .map(|i| {
                 (0..to.len())
                     .map(|j| from.m_over(i).rem_u64(to.modulus(j).value()))
                     .collect()
             })
             .collect();
-        let product_mod_to = (0..to.len())
+        let product_mod_to: Vec<u64> = (0..to.len())
             .map(|j| from.product().rem_u64(to.modulus(j).value()))
             .collect();
-        let recips = from
+        let recips: Vec<SmallReciprocal> = from
             .moduli()
             .iter()
             .map(|m| SmallReciprocal::new(m.value()))
             .collect();
-        let recips_f64 = from
+        let recips_f64: Vec<f64> = from
             .moduli()
             .iter()
             .map(|m| 1.0 / m.value() as f64)
             .collect();
+        // The rounded quotient v ≤ k enters as `v·(−M_from mod t_j)`.
+        let neg_product: Vec<u64> = to
+            .moduli()
+            .iter()
+            .zip(&product_mod_to)
+            .map(|(m, &r)| m.neg(r))
+            .collect();
+        let conv = HpsConv::new(
+            from.moduli()
+                .iter()
+                .enumerate()
+                .map(|(i, m)| (ShoupMul::new(from.tilde(i), m.value()), m.value()))
+                .collect(),
+            &recips
+                .iter()
+                .map(SmallReciprocal::stored_word)
+                .collect::<Vec<_>>(),
+            SmallReciprocal::FRAC_BITS,
+            recips_f64.clone(),
+            &cross,
+            &neg_product,
+            from.len() as u64,
+            to.moduli(),
+        );
         Extender {
             from: from.clone(),
             to: to.clone(),
@@ -222,6 +468,7 @@ impl Extender {
             product_mod_to,
             recips,
             recips_f64,
+            conv,
         }
     }
 
@@ -251,17 +498,6 @@ impl Extender {
         &self.recips
     }
 
-    /// The `y_i = a_i · q̃_i mod q_i` premultiplication (Fig. 6 "Block 1"),
-    /// written into a caller-provided scratch row (the hot path calls this
-    /// once per coefficient and must not allocate).
-    fn premultiply_into(&self, residues: &[u64], ys: &mut [u64]) {
-        assert_eq!(residues.len(), self.from.len(), "residue count mismatch");
-        for (i, y) in ys.iter_mut().enumerate() {
-            let m = self.from.modulus(i);
-            *y = m.mul(m.reduce(residues[i]), self.from.tilde(i));
-        }
-    }
-
     /// The HPS quotient `v' = ⌈Σ y_i/q_i⌋` (Fig. 6 "Block 3").
     fn quotient(&self, ys: &[u64], precision: HpsPrecision) -> u64 {
         match precision {
@@ -284,28 +520,6 @@ impl Extender {
         }
     }
 
-    /// Shared HPS extension kernel: premultiplied `ys` in, one output
-    /// residue per destination modulus out through `put(j, value)`.
-    #[inline]
-    fn extend_core_hps(
-        &self,
-        ys: &[u64],
-        precision: HpsPrecision,
-        mut put: impl FnMut(usize, u64),
-    ) {
-        let v = self.quotient(ys, precision);
-        for j in 0..self.to.len() {
-            let m = self.to.modulus(j);
-            let mut acc = 0u128;
-            for (&y, row) in ys.iter().zip(&self.cross) {
-                acc += y as u128 * row[j] as u128;
-            }
-            let pos = m.reduce_u128(acc);
-            let neg = m.reduce_u128(v as u128 * self.product_mod_to[j] as u128);
-            put(j, m.sub(pos, neg));
-        }
-    }
-
     /// Exact base extension of the **centered** representative, via long
     /// integers — the traditional-CRT datapath (Fig. 5).
     ///
@@ -323,15 +537,37 @@ impl Extender {
     /// ≤ 2^-47, in which case the result is off by one multiple of the
     /// source product — absorbed by FV as noise).
     ///
+    /// This per-coefficient form, with `u128` accumulation and a
+    /// `u128` quotient, is the oracle the column-blocked polynomial path is
+    /// pinned against.
+    ///
     /// # Panics
     ///
     /// Panics if `residues.len()` differs from the source basis size.
     pub fn extend_hps(&self, residues: &[u64], precision: HpsPrecision) -> Vec<u64> {
-        let mut ys = vec![0u64; self.from.len()];
-        self.premultiply_into(residues, &mut ys);
-        let mut out = vec![0u64; self.to.len()];
-        self.extend_core_hps(&ys, precision, |j, v| out[j] = v);
-        out
+        assert_eq!(residues.len(), self.from.len(), "residue count mismatch");
+        // Fig. 6 "Block 1": y_i = a_i · q̃_i mod q_i.
+        let ys: Vec<u64> = residues
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| {
+                let m = self.from.modulus(i);
+                m.mul(m.reduce(a), self.from.tilde(i))
+            })
+            .collect();
+        let v = self.quotient(&ys, precision);
+        (0..self.to.len())
+            .map(|j| {
+                let m = self.to.modulus(j);
+                let mut acc = 0u128;
+                for (&y, row) in ys.iter().zip(&self.cross) {
+                    acc += y as u128 * row[j] as u128;
+                }
+                let pos = m.reduce_u128(acc);
+                let neg = m.reduce_u128(v as u128 * self.product_mod_to[j] as u128);
+                m.sub(pos, neg)
+            })
+            .collect()
     }
 
     /// HPS extension of a column range of a flat residue-major polynomial.
@@ -340,15 +576,31 @@ impl Extender {
     /// `from.len() × n` buffer (limb-major: coefficient `c` of residue `i`
     /// at `src[i·n + c]`). The destination residues of columns `cols` are
     /// written into `out`, laid out `to.len() × cols.len()` with stride
-    /// `cols.len()`. No allocation happens per coefficient — this is the
-    /// software analogue of the paper's block-pipelined Lift datapath
-    /// streaming one coefficient per initiation interval.
+    /// `cols.len()`. Runs on the process-wide kernel table
+    /// ([`Kernels::hps_extend_cols`]): blocks of coefficients stream through
+    /// the premultiply, quotient and sum-of-products kernels with no
+    /// allocation — the software analogue of the paper's block-pipelined
+    /// Lift datapath taking one coefficient per initiation interval.
+    /// Bit-identical to [`Extender::extend_hps`] on every column.
     ///
     /// # Panics
     ///
     /// Panics if `src`/`out` sizes or the column range are inconsistent.
     pub fn extend_poly_hps_cols_into(
         &self,
+        src: &[u64],
+        n: usize,
+        cols: std::ops::Range<usize>,
+        out: &mut [u64],
+        precision: HpsPrecision,
+    ) {
+        dispatch::kernels().hps_extend_cols(self, src, n, cols, out, precision)
+    }
+
+    /// [`Extender::extend_poly_hps_cols_into`] on the given kernel table.
+    pub(crate) fn extend_cols_with(
+        &self,
+        kern: &Kernels,
         src: &[u64],
         n: usize,
         cols: std::ops::Range<usize>,
@@ -362,14 +614,20 @@ impl Extender {
         let w = cols.len();
         assert_eq!(out.len(), l * w, "flat destination length mismatch");
         assert!(k <= MAX_STREAM_LIMBS, "basis exceeds MAX_STREAM_LIMBS");
-        let mut ys_buf = [0u64; MAX_STREAM_LIMBS];
-        let ys = &mut ys_buf[..k];
-        for (o, c) in cols.enumerate() {
-            for (i, y) in ys.iter_mut().enumerate() {
-                let m = self.from.modulus(i);
-                *y = m.mul(m.reduce(src[i * n + c]), self.from.tilde(i));
-            }
-            self.extend_core_hps(ys, precision, |j, v| out[j * w + o] = v);
+        let mut ys = [0u32; MAX_STREAM_LIMBS * HPS_BLOCK];
+        let mut seeds = [0u64; HPS_BLOCK];
+        for b in (0..w).step_by(HPS_BLOCK) {
+            let bw = HPS_BLOCK.min(w - b);
+            self.conv.run_block(
+                kern,
+                &src[cols.start + b..],
+                n,
+                precision,
+                &mut ys,
+                &mut seeds[..bw],
+                &mut out[b..],
+                w,
+            );
         }
     }
 
@@ -528,6 +786,8 @@ pub struct ScaleContext {
     frac_fixed: Vec<u64>,
     /// `frac(t·p/q_i)` as doubles.
     frac_f64: Vec<f64>,
+    /// Step 1 laid out for the column-blocked kernels: source rows `q ∥ p`.
+    conv: HpsConv,
 }
 
 impl ScaleContext {
@@ -546,14 +806,14 @@ impl ScaleContext {
         );
         let big_q = ctx.big_q();
 
-        let big_q_tilde_q = (0..qb.len())
+        let big_q_tilde_q: Vec<u64> = (0..qb.len())
             .map(|i| {
                 let m = qb.modulus(i);
                 let q_over = big_q.div_rem(&UBig::from(m.value())).0;
                 m.inv(q_over.rem_u64(m.value()))
             })
             .collect();
-        let big_q_tilde_p = (0..pb.len())
+        let big_q_tilde_p: Vec<u64> = (0..pb.len())
             .map(|j| {
                 let m = pb.modulus(j);
                 let q_over = big_q.div_rem(&UBig::from(m.value())).0;
@@ -562,7 +822,7 @@ impl ScaleContext {
             .collect();
 
         let p_prod = pb.product();
-        let c_jm = (0..pb.len())
+        let c_jm: Vec<Vec<u64>> = (0..pb.len())
             .map(|j| {
                 let tp_over_pj = pb.m_over(j).mul_u64(t);
                 (0..pb.len())
@@ -587,6 +847,22 @@ impl ScaleContext {
             frac_fixed.push((((r as u128) << 64) / qi as u128) as u64);
             frac_f64.push(r as f64 / qi as f64);
         }
+        // G ≤ Σ_i y_i < Σ_i q_i enters every output with multiplier 1.
+        let full = ctx.base_full().moduli();
+        let tildes = big_q_tilde_q.iter().chain(&big_q_tilde_p);
+        let conv = HpsConv::new(
+            full.iter()
+                .zip(tildes)
+                .map(|(m, &w)| (ShoupMul::new(w, m.value()), m.value()))
+                .collect(),
+            &frac_fixed,
+            64,
+            frac_f64.clone(),
+            &int_im.iter().chain(&c_jm).cloned().collect::<Vec<_>>(),
+            &vec![1; pb.len()],
+            qb.moduli().iter().map(Modulus::value).sum(),
+            pb.moduli(),
+        );
         ScaleContext {
             t,
             big_q_tilde_q,
@@ -595,6 +871,7 @@ impl ScaleContext {
             int_im,
             frac_fixed,
             frac_f64,
+            conv,
         }
     }
 
@@ -648,49 +925,15 @@ impl ScaleContext {
         let pb = ctx.base_p();
         assert_eq!(a_q.len(), qb.len(), "q-basis residue count mismatch");
         assert_eq!(a_p.len(), pb.len(), "p-basis residue count mismatch");
-        let mut yq = vec![0u64; qb.len()];
-        let mut yp = vec![0u64; pb.len()];
-        let mut d_p = vec![0u64; pb.len()];
-        self.scale_to_p_core(
-            qb,
-            pb,
-            |i| a_q[i],
-            |j| a_p[j],
-            &mut yq,
-            &mut yp,
-            &mut d_p,
-            precision,
-        );
-        d_p
-    }
-
-    /// Fig. 9 Blocks 1–3 on one coefficient, running entirely on
-    /// caller-provided scratch rows (`yq`/`yp`) — the single source of the
-    /// step-1 arithmetic shared by the scalar [`ScaleContext::scale_to_p`]
-    /// and the polynomial column-streaming path. `a(i)` / `b(j)` yield the
-    /// q- and p-basis residues of the coefficient; `d_p` receives
-    /// `⌈t·a/q⌋ mod p_m`.
-    #[allow(clippy::too_many_arguments)]
-    fn scale_to_p_core(
-        &self,
-        qb: &RnsBasis,
-        pb: &RnsBasis,
-        a: impl Fn(usize) -> u64,
-        b: impl Fn(usize) -> u64,
-        yq: &mut [u64],
-        yp: &mut [u64],
-        d_p: &mut [u64],
-        precision: HpsPrecision,
-    ) {
         // y_k = a_k * Q̃_k mod m_k for every modulus of Q.
-        for (i, y) in yq.iter_mut().enumerate() {
-            let m = qb.modulus(i);
-            *y = m.mul(m.reduce(a(i)), self.big_q_tilde_q[i]);
-        }
-        for (j, y) in yp.iter_mut().enumerate() {
-            let m = pb.modulus(j);
-            *y = m.mul(m.reduce(b(j)), self.big_q_tilde_p[j]);
-        }
+        let premultiply = |b: &RnsBasis, a: &[u64], tilde: &[u64]| -> Vec<u64> {
+            a.iter()
+                .enumerate()
+                .map(|(i, &x)| b.modulus(i).mul(b.modulus(i).reduce(x), tilde[i]))
+                .collect()
+        };
+        let yq = premultiply(qb, a_q, &self.big_q_tilde_q);
+        let yp = premultiply(pb, a_p, &self.big_q_tilde_p);
 
         // Rounded fractional contribution G = ⌈Σ_i y_i · frac(t·p/q_i)⌋.
         let g: u64 = match precision {
@@ -712,22 +955,24 @@ impl ScaleContext {
             }
         };
 
-        for (m_idx, d) in d_p.iter_mut().enumerate() {
-            let modulus = pb.modulus(m_idx);
-            let mut acc = g as u128;
-            for (j, &y) in yp.iter().enumerate() {
-                acc += y as u128 * self.c_jm[j][m_idx] as u128;
-            }
-            for (i, &y) in yq.iter().enumerate() {
-                acc += y as u128 * self.int_im[i][m_idx] as u128;
-            }
-            *d = modulus.reduce_u128(acc);
-        }
+        (0..pb.len())
+            .map(|m_idx| {
+                let mut acc = g as u128;
+                for (j, &y) in yp.iter().enumerate() {
+                    acc += y as u128 * self.c_jm[j][m_idx] as u128;
+                }
+                for (i, &y) in yq.iter().enumerate() {
+                    acc += y as u128 * self.int_im[i][m_idx] as u128;
+                }
+                pb.modulus(m_idx).reduce_u128(acc)
+            })
+            .collect()
     }
 
     /// Full HPS `Scale Q→q` on one coefficient: step 1 then the `p → q`
     /// basis switch (which the paper implements by reusing the `Lift`
-    /// datapath).
+    /// datapath). Like [`Extender::extend_hps`], this `u128` form is the
+    /// oracle of the column-blocked polynomial path.
     pub fn scale_hps(
         &self,
         ctx: &RnsContext,
@@ -752,8 +997,10 @@ impl ScaleContext {
     /// polynomial over the full `Q` basis (q residues first: coefficient
     /// `c` of residue `i` at `src[i·n + c]`, `i < k + l`). Output columns
     /// land in `out`, laid out `k × cols.len()` with stride `cols.len()`.
-    /// Per-coefficient work runs entirely on hoisted scratch rows — no
-    /// allocation inside the loop.
+    /// Runs on the process-wide kernel table
+    /// ([`Kernels::hps_scale_cols`]) on stack scratch blocks — no
+    /// allocation. Bit-identical to [`ScaleContext::scale_hps`] on every
+    /// column.
     ///
     /// # Panics
     ///
@@ -767,42 +1014,60 @@ impl ScaleContext {
         out: &mut [u64],
         precision: HpsPrecision,
     ) {
-        let qb = ctx.base_q();
-        let pb = ctx.base_p();
-        let (k, l) = (qb.len(), pb.len());
+        dispatch::kernels().hps_scale_cols(self, ctx, src, n, cols, out, precision)
+    }
+
+    /// [`ScaleContext::scale_poly_hps_cols_into`] on the given kernel
+    /// table.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn scale_cols_with(
+        &self,
+        kern: &Kernels,
+        ctx: &RnsContext,
+        src: &[u64],
+        n: usize,
+        cols: std::ops::Range<usize>,
+        out: &mut [u64],
+        precision: HpsPrecision,
+    ) {
+        let (k, l) = (ctx.base_q().len(), ctx.base_p().len());
         assert_eq!(src.len(), (k + l) * n, "flat source length mismatch");
         assert!(cols.end <= n, "column range out of bounds");
         let w = cols.len();
         assert_eq!(out.len(), k * w, "flat destination length mismatch");
-        let unlift = ctx.unlift();
         assert!(
             k <= MAX_STREAM_LIMBS && l <= MAX_STREAM_LIMBS,
             "basis exceeds MAX_STREAM_LIMBS"
         );
-        let mut yq_buf = [0u64; MAX_STREAM_LIMBS];
-        let mut yp_buf = [0u64; MAX_STREAM_LIMBS];
-        let mut d_p_buf = [0u64; MAX_STREAM_LIMBS];
-        let mut ys_buf = [0u64; MAX_STREAM_LIMBS];
-        let yq = &mut yq_buf[..k];
-        let yp = &mut yp_buf[..l];
-        let d_p = &mut d_p_buf[..l];
-        let ys = &mut ys_buf[..l];
-        for (o, c) in cols.enumerate() {
-            // Step 1 (Fig. 9 Blocks 1–3): d = ⌈t·a/q⌋ in the p basis —
-            // the same core the scalar path runs, fed by strided reads.
-            self.scale_to_p_core(
-                qb,
-                pb,
-                |i| src[i * n + c],
-                |j| src[(k + j) * n + c],
-                yq,
-                yp,
-                d_p,
+        let unlift = &ctx.unlift().conv;
+        let mut ys = [0u32; 2 * MAX_STREAM_LIMBS * HPS_BLOCK];
+        let mut d_p = [0u64; MAX_STREAM_LIMBS * HPS_BLOCK];
+        let mut seeds = [0u64; HPS_BLOCK];
+        for b in (0..w).step_by(HPS_BLOCK) {
+            let bw = HPS_BLOCK.min(w - b);
+            // Step 1 (Fig. 9 Blocks 1–3): d = ⌈t·a/q⌋ in the p basis.
+            let src_block = &src[cols.start + b..];
+            self.conv.run_block(
+                kern,
+                src_block,
+                n,
                 precision,
+                &mut ys,
+                &mut seeds[..bw],
+                &mut d_p,
+                HPS_BLOCK,
             );
-            // Step 2: basis switch p → q through the Lift datapath.
-            unlift.premultiply_into(d_p, ys);
-            unlift.extend_core_hps(ys, precision, |i, v| out[i * w + o] = v);
+            // Step 2: basis switch p → q through the Lift block.
+            unlift.run_block(
+                kern,
+                &d_p,
+                HPS_BLOCK,
+                precision,
+                &mut ys,
+                &mut seeds[..bw],
+                &mut out[b..],
+                w,
+            );
         }
     }
 
@@ -1093,6 +1358,27 @@ mod tests {
         for i in 0..6 {
             assert_eq!(&cols[i * 2..(i + 1) * 2], &hps[i * n + 1..i * n + 3]);
         }
+    }
+
+    #[test]
+    fn hps_fold_bounds_follow_the_moduli() {
+        // 30-bit primes: T ≥ 15, so the paper's 6 + 7 limbs never fold.
+        let ctx = paper_context();
+        let sc = ScaleContext::new(&ctx, 2);
+        for conv in [&ctx.lift().conv, &ctx.unlift().conv, &sc.conv] {
+            assert!(
+                conv.fold >= 15 && conv.fold >= conv.rows(),
+                "T={}",
+                conv.fold
+            );
+        }
+        // Table V's 48 + 49 limbs fold; 31-bit primes fold every 3–4 terms.
+        let ps = ntt_primes(30, 4096 << 3, 97).unwrap();
+        let big = RnsContext::new(&ps[..48], &ps[48..]).unwrap();
+        assert!(ScaleContext::new(&big, 2).conv.fold < 97);
+        let ps = ntt_primes(31, 4096, 13).unwrap();
+        let wide = RnsContext::new(&ps[..6], &ps[6..]).unwrap();
+        assert!((3..=4).contains(&wide.lift().conv.fold));
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! AVX2 lane implementations of the three dominant kernels: the Harvey
-//! NTT butterflies, pointwise (Hadamard) multiplication, and the hoisted
-//! key-switch sum-of-products line.
+//! AVX2 lane implementations of the dispatched kernels: the Harvey NTT
+//! butterflies, pointwise (Hadamard) multiplication, the hoisted
+//! key-switch sum-of-products line, and the three blocks of the HPS
+//! basis conversions (`Lift`/`Scale`).
 //!
 //! Everything here is selected at runtime by [`crate::dispatch`]; nothing
 //! in this module is reachable unless `is_x86_feature_detected!("avx2")`
@@ -34,11 +35,21 @@
 //! fits one `u64` lane; reduction is the same single-word Barrett as
 //! [`crate::zq::Modulus::reduce_u64`], giving identical values); wider
 //! moduli fall back to the scalar 128-bit path at the dispatch layer.
+//!
+//! The HPS blocks work on moduli below `2^31` (see [`crate::rns`] for
+//! the limb-sum and fold bounds): the premultiply is the narrow Shoup
+//! product finished to `[0, q)`, the quotient limb sums and the
+//! cross-basis sums of products are `pmuludq` products of `u32` lanes
+//! accumulated exactly in `u64`, and every output takes the same
+//! single-word Barrett reduction as [`Modulus::reduce_u64`]. The `F64`
+//! quotient runs the scalar sum's multiply-then-add sequence per lane in
+//! the same order, so it rounds identically.
 
 #![allow(unsafe_op_in_unsafe_fn)]
 
 use crate::ntt::NttTable;
-use crate::zq::Modulus;
+use crate::rns::{HpsConv, HpsPrecision, FRAC_LIMB_BITS, HPS_BLOCK};
+use crate::zq::{Modulus, ShoupMul};
 use core::arch::x86_64::*;
 
 /// Moduli below this bound use the narrow (32-bit-operand) NTT kernels:
@@ -114,8 +125,10 @@ unsafe fn mullo64(a: __m256i, b: __m256i) -> __m256i {
 }
 
 /// Narrow lazy Shoup product: `w·v mod q` relaxed to `[0, 2q)`, for
-/// `v < 2^32`, `q < 2^30`, using the truncated constant `⌊w·2^32/q⌋`
-/// (the high half of the stored 64-bit Shoup constant). Three `pmuludq`.
+/// `v < 2^32`, `w < q < 2^31`, using the truncated constant `⌊w·2^32/q⌋`
+/// (the high half of the stored 64-bit Shoup constant). Three `pmuludq`:
+/// `w·v < 2^63` and the quotient estimate `< 2^32` stay exact in 32×32-bit
+/// products, and it undershoots `⌊w·v/q⌋` by at most one.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn mul_lazy_narrow(v: __m256i, w: __m256i, w_shoup32: __m256i, q: __m256i) -> __m256i {
@@ -749,4 +762,256 @@ unsafe fn hsum_pair(v0: __m256i, v1: __m256i) -> (u64, u64) {
     let s1 = _mm_add_epi64(_mm256_castsi256_si128(v1), _mm256_extracti128_si256(v1, 1));
     let t = _mm_add_epi64(_mm_unpacklo_epi64(s0, s1), _mm_unpackhi_epi64(s0, s1));
     (_mm_cvtsi128_si64(t) as u64, _mm_extract_epi64(t, 1) as u64)
+}
+
+// ---------------------------------------------------------------------------
+// HPS basis-conversion blocks (moduli < 2^31)
+// ---------------------------------------------------------------------------
+
+/// Exact reduction of full 64-bit lanes modulo `q < 2^31` in five
+/// `pmuludq`: the high word folds in through the narrow Shoup product
+/// `x_hi·(2^32 mod q)` and the low word through a narrow Barrett step
+/// (`floor(2^32/q)`, the high half of `Modulus::barrett_64`), each
+/// landing in `[0, 2q)`; two csubs finish the sum `< 4q`.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn reduce_u64_narrow(x: __m256i, r: &NarrowReducer) -> __m256i {
+    let hi = mul_lazy_narrow(_mm256_srli_epi64(x, 32), r.pow32, r.pow32_shoup32, r.qv);
+    let lo = _mm256_and_si256(x, _mm256_set1_epi64x(0xFFFF_FFFF));
+    let q_hat = _mm256_srli_epi64(_mm256_mul_epu32(x, r.inv32), 32);
+    let lo = _mm256_sub_epi64(lo, _mm256_mul_epu32(q_hat, r.qv));
+    csub(csub(_mm256_add_epi64(hi, lo), r.two_qv), r.qv)
+}
+
+/// Broadcast constants of [`reduce_u64_narrow`] for one modulus.
+struct NarrowReducer {
+    qv: __m256i,
+    two_qv: __m256i,
+    pow32: __m256i,
+    pow32_shoup32: __m256i,
+    inv32: __m256i,
+}
+
+impl NarrowReducer {
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn new(m: &Modulus, pow32: ShoupMul) -> Self {
+        NarrowReducer {
+            qv: _mm256_set1_epi64x(m.value() as i64),
+            two_qv: _mm256_set1_epi64x(2 * m.value() as i64),
+            pow32: _mm256_set1_epi64x(pow32.w as i64),
+            pow32_shoup32: _mm256_set1_epi64x((pow32.w_shoup >> 32) as i64),
+            inv32: _mm256_set1_epi64x((m.barrett_64() >> 32) as i64),
+        }
+    }
+}
+
+/// Four `u32` scratch lanes zero-extended to `u64` lanes.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn load_u32x4(p: *const u32) -> __m256i {
+    _mm256_cvtepu32_epi64(_mm_loadu_si128(p as *const __m128i))
+}
+
+/// Premultiply block: `ys[i·B + c] = a·w_i mod s_i`, four columns per
+/// vector. The narrow Shoup product holds for `s_i < 2^31` and `a < 2^32`
+/// (the truncated constant `⌊w·2^32/s⌋` undershoots `⌊w·a/s⌋` by at most
+/// one, so the lazy result is in `[0, 2s)` and one csub makes it
+/// canonical); a vector holding any `a ≥ 2^32` takes the scalar product.
+///
+/// # Safety
+///
+/// The CPU supports AVX2. (Every row access is a checked slice.)
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn hps_premultiply(
+    conv: &HpsConv,
+    src: &[u64],
+    stride: usize,
+    width: usize,
+    ys: &mut [u32],
+) {
+    let high = _mm256_set1_epi64x(!0xFFFF_FFFFu64 as i64);
+    let pack = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
+    for (i, &(w, q)) in conv.pre.iter().enumerate() {
+        let row = &src[i * stride..i * stride + width];
+        let dst = &mut ys[i * HPS_BLOCK..i * HPS_BLOCK + width];
+        let wv = _mm256_set1_epi64x(w.w as i64);
+        let ws32 = _mm256_set1_epi64x((w.w_shoup >> 32) as i64);
+        let qv = _mm256_set1_epi64x(q as i64);
+        let mut c = 0usize;
+        while c + 4 <= width {
+            let a = load4(row.as_ptr().add(c));
+            if _mm256_testz_si256(a, high) == 1 {
+                let y = csub(mul_lazy_narrow(a, wv, ws32, qv), qv);
+                let y = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(y, pack));
+                _mm_storeu_si128(dst.as_mut_ptr().add(c) as *mut __m128i, y);
+            } else {
+                for l in c..c + 4 {
+                    dst[l] = conv.premultiply(i, row[l]);
+                }
+            }
+            c += 4;
+        }
+        for l in c..width {
+            dst[l] = conv.premultiply(i, row[l]);
+        }
+    }
+}
+
+/// Quotient block: the rounded quotient of each of `seeds.len()` columns,
+/// four per vector. `Fixed` accumulates the three limb sums
+/// (`< 2^59` each) and recombines them with the shifts of
+/// `HpsConv::round_limb_sums`; `F64` multiplies then adds in row order
+/// and rounds each lane with `f64::round`, like the scalar sum.
+///
+/// # Safety
+///
+/// The CPU supports AVX2, `seeds.len() ≤ HPS_BLOCK` and `ys` holds the
+/// `HPS_BLOCK`-stride rows of every quotient row (as
+/// `Kernels::hps_quotient` asserts).
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn hps_quotient(
+    conv: &HpsConv,
+    ys: &[u32],
+    precision: HpsPrecision,
+    seeds: &mut [u64],
+) {
+    const LIMB: i32 = FRAC_LIMB_BITS as i32;
+    let width = seeds.len();
+    let yp = ys.as_ptr();
+    let mut c = 0usize;
+    match precision {
+        HpsPrecision::Fixed => {
+            let shift = conv.frac_bits - 2 * FRAC_LIMB_BITS;
+            let half = _mm256_set1_epi64x(1i64 << (shift - 1));
+            let count = _mm_cvtsi32_si128(shift as i32);
+            while c + 4 <= width {
+                let mut s = [_mm256_setzero_si256(); 3];
+                for (i, limbs) in conv.frac_limbs.iter().enumerate() {
+                    let y = load_u32x4(yp.add(i * HPS_BLOCK + c));
+                    for (acc, &l) in s.iter_mut().zip(limbs) {
+                        let p = _mm256_mul_epu32(y, _mm256_set1_epi64x(l as i64));
+                        *acc = _mm256_add_epi64(*acc, p);
+                    }
+                }
+                let a = _mm256_add_epi64(_mm256_srli_epi64(s[0], LIMB), s[1]);
+                let b = _mm256_add_epi64(_mm256_srli_epi64(a, LIMB), s[2]);
+                let v = _mm256_srl_epi64(_mm256_add_epi64(b, half), count);
+                store4(seeds.as_mut_ptr().add(c), v);
+                c += 4;
+            }
+        }
+        HpsPrecision::F64 => {
+            while c + 4 <= width {
+                let mut s = _mm256_setzero_pd();
+                for (i, &f) in conv.frac_f64.iter().enumerate() {
+                    // y < 2^31 converts exactly through the signed path.
+                    let y = _mm_loadu_si128(yp.add(i * HPS_BLOCK + c) as *const __m128i);
+                    let prod = _mm256_mul_pd(_mm256_cvtepi32_pd(y), _mm256_set1_pd(f));
+                    s = _mm256_add_pd(s, prod);
+                }
+                let mut lanes = [0f64; 4];
+                _mm256_storeu_pd(lanes.as_mut_ptr(), s);
+                for (seed, x) in seeds[c..c + 4].iter_mut().zip(lanes) {
+                    *seed = x.round() as u64;
+                }
+                c += 4;
+            }
+        }
+    }
+    for (col, seed) in seeds.iter_mut().enumerate().skip(c) {
+        *seed = conv.quotient_col(ys, col, precision);
+    }
+}
+
+/// Sum-of-products block: output `j` of column `c` into
+/// `out[j·stride + c]`, eight or four columns per step.
+///
+/// # Safety
+///
+/// The CPU supports AVX2, `seeds.len() ≤ HPS_BLOCK`, `ys` holds
+/// `conv.rows()` rows of stride `HPS_BLOCK`, and `out` reaches
+/// `(dest − 1)·stride + seeds.len()` (as `Kernels::hps_sop` asserts).
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn hps_sop(
+    conv: &HpsConv,
+    ys: &[u32],
+    seeds: &[u64],
+    out: &mut [u64],
+    stride: usize,
+) {
+    let width = seeds.len();
+    let rows = conv.rows();
+    for (j, m) in conv.dest.iter().enumerate() {
+        let lane = SopLane {
+            table: &conv.table[j * rows..(j + 1) * rows],
+            fold: conv.fold,
+            seed_mul: _mm256_set1_epi64x(conv.seed_mul[j] as i64),
+            reducer: NarrowReducer::new(m, conv.dest_pow32[j]),
+        };
+        let dst = out.as_mut_ptr().add(j * stride);
+        let mut c = 0usize;
+        while c + 8 <= width {
+            let [a0, a1] = lane.columns::<2>(ys.as_ptr().add(c), seeds.as_ptr().add(c));
+            store4(dst.add(c), a0);
+            store4(dst.add(c + 4), a1);
+            c += 8;
+        }
+        if c + 4 <= width {
+            let [a0] = lane.columns::<1>(ys.as_ptr().add(c), seeds.as_ptr().add(c));
+            store4(dst.add(c), a0);
+            c += 4;
+        }
+        for (col, &seed) in seeds.iter().enumerate().skip(c) {
+            *dst.add(col) = conv.sop_col(ys, seed, j, col);
+        }
+    }
+}
+
+/// One destination modulus of [`hps_sop`], broadcast once.
+struct SopLane<'a> {
+    table: &'a [u32],
+    fold: usize,
+    seed_mul: __m256i,
+    reducer: NarrowReducer,
+}
+
+impl SopLane<'_> {
+    /// `V` vectors of four columns: the seed product, then the products
+    /// of every row in chunks of `fold` with a partial reduction between
+    /// chunks, then the final reduction to `[0, q)`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn columns<const V: usize>(&self, ys: *const u32, seeds: *const u64) -> [__m256i; V] {
+        let mut acc = [_mm256_setzero_si256(); V];
+        for (v, a) in acc.iter_mut().enumerate() {
+            // A seed is below 2^38: multiply both 32-bit halves.
+            let s = load4(seeds.add(4 * v));
+            let hi = _mm256_mul_epu32(_mm256_srli_epi64(s, 32), self.seed_mul);
+            *a = _mm256_add_epi64(
+                _mm256_mul_epu32(s, self.seed_mul),
+                _mm256_slli_epi64(hi, 32),
+            );
+        }
+        for (ci, chunk) in self.table.chunks(self.fold).enumerate() {
+            if ci > 0 {
+                for a in acc.iter_mut() {
+                    *a = reduce_u64_narrow(*a, &self.reducer);
+                }
+            }
+            let base = ys.add(ci * self.fold * HPS_BLOCK);
+            for (i, &t) in chunk.iter().enumerate() {
+                let tv = _mm256_set1_epi64x(t as i64);
+                let row = base.add(i * HPS_BLOCK);
+                for (v, a) in acc.iter_mut().enumerate() {
+                    let y = load_u32x4(row.add(4 * v));
+                    *a = _mm256_add_epi64(*a, _mm256_mul_epu32(y, tv));
+                }
+            }
+        }
+        for a in acc.iter_mut() {
+            *a = reduce_u64_narrow(*a, &self.reducer);
+        }
+        acc
+    }
 }

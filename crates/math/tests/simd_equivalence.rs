@@ -15,12 +15,22 @@
 //! just under `2^62` (wide path), with inputs relaxed across the full
 //! Harvey lazy range `[0, 4q)` for the forward transform and `[0, 2q)`
 //! for the inverse.
+//!
+//! The HPS basis conversions (`Lift` and `Scale`) are pinned the same way
+//! and, in addition, against the per-coefficient `u128` oracles
+//! `Extender::extend_hps` / `ScaleContext::scale_hps` on every column,
+//! across four bases: the paper's 6 + 7 limbs, a toy 3 + 4, Table V's
+//! 48 + 49 (whose sums of products take partial reductions) and 31-bit
+//! primes (the `SmallReciprocal` ceiling).
 
 use hefv_math::dispatch::{self, Kernels};
 use hefv_math::ntt::NttTable;
-use hefv_math::primes::ntt_prime;
+use hefv_math::primes::{ntt_prime, ntt_primes};
+use hefv_math::rns::{HpsPrecision, RnsContext, ScaleContext};
 use hefv_math::zq::Modulus;
 use proptest::prelude::*;
+use std::ops::Range;
+use std::sync::OnceLock;
 
 fn both_tables() -> Option<(&'static Kernels, &'static Kernels)> {
     dispatch::avx2_kernels().map(|avx2| (dispatch::scalar_kernels(), avx2))
@@ -37,6 +47,130 @@ fn fill(seed: u64, len: usize, bound: u64) -> Vec<u64> {
             state % bound
         })
         .collect()
+}
+
+/// One HPS basis pair with its scale context and a test ring degree.
+struct HpsShape {
+    name: &'static str,
+    n: usize,
+    ctx: RnsContext,
+    sc: ScaleContext,
+}
+
+/// The four HPS shapes, built once per process (the 97-prime context is
+/// not cheap).
+fn hps_shapes() -> &'static [HpsShape] {
+    static SHAPES: OnceLock<Vec<HpsShape>> = OnceLock::new();
+    SHAPES.get_or_init(|| {
+        let shape = |name, n, primes: Vec<u64>, k: usize, t| {
+            let ctx = RnsContext::new(&primes[..k], &primes[k..]).unwrap();
+            let sc = ScaleContext::new(&ctx, t);
+            HpsShape { name, n, ctx, sc }
+        };
+        vec![
+            shape("paper 6+7", 4096, ntt_primes(30, 4096, 13).unwrap(), 6, 2),
+            shape("toy 3+4", 200, ntt_primes(30, 64, 7).unwrap(), 3, 2),
+            // The `FvParams::table5(3)` basis (n = 32768), on fewer columns.
+            shape(
+                "table5(3) 48+49",
+                150,
+                ntt_primes(30, 4096 << 3, 97).unwrap(),
+                48,
+                2,
+            ),
+            shape(
+                "31-bit 6+7",
+                200,
+                ntt_primes(31, 4096, 13).unwrap(),
+                6,
+                65537,
+            ),
+        ]
+    })
+}
+
+/// `rows × n` residues, canonical except every 29th value, which is a raw
+/// 64-bit word (the kernels reduce any input, as the oracles do).
+fn residue_rows(seed: u64, moduli: &[Modulus], n: usize) -> Vec<u64> {
+    let raw = fill(seed, moduli.len() * n, u64::MAX);
+    raw.iter()
+        .enumerate()
+        .map(|(idx, &r)| {
+            if idx % 29 == 7 {
+                r
+            } else {
+                r % moduli[idx / n].value()
+            }
+        })
+        .collect()
+}
+
+/// The oracle's output rows for columns `cols`, laid out like the
+/// polynomial kernels' (`rows × cols.len()`).
+fn oracle_cols(
+    src: &[u64],
+    src_rows: usize,
+    n: usize,
+    cols: Range<usize>,
+    out_rows: usize,
+    f: impl Fn(&[u64]) -> Vec<u64>,
+) -> Vec<u64> {
+    let w = cols.len();
+    let mut out = vec![0u64; out_rows * w];
+    for (o, c) in cols.enumerate() {
+        let column: Vec<u64> = (0..src_rows).map(|i| src[i * n + c]).collect();
+        for (j, v) in f(&column).into_iter().enumerate() {
+            out[j * w + o] = v;
+        }
+    }
+    out
+}
+
+/// Lift and Scale of `cols` through every available kernel table, in both
+/// precisions, against the per-coefficient oracles.
+fn check_hps_cols(shape: &HpsShape, seed: u64, cols: Range<usize>) -> Result<(), TestCaseError> {
+    let HpsShape { name, n, ctx, sc } = shape;
+    let (n, k, l) = (*n, ctx.base_q().len(), ctx.base_p().len());
+    let w = cols.len();
+    let lanes: Vec<&Kernels> = std::iter::once(dispatch::scalar_kernels())
+        .chain(dispatch::avx2_kernels())
+        .collect();
+    let lift_src = residue_rows(seed, ctx.base_q().moduli(), n);
+    let scale_src = residue_rows(seed ^ 0x5CA1E, ctx.base_full().moduli(), n);
+    for prec in [HpsPrecision::Fixed, HpsPrecision::F64] {
+        let lift_want = oracle_cols(&lift_src, k, n, cols.clone(), l, |a| {
+            ctx.lift().extend_hps(a, prec)
+        });
+        let scale_want = oracle_cols(&scale_src, k + l, n, cols.clone(), k, |a| {
+            sc.scale_hps(ctx, &a[..k], &a[k..], prec)
+        });
+        for lane in &lanes {
+            let backend = lane.backend().name();
+            let mut got = vec![0u64; l * w];
+            lane.hps_extend_cols(ctx.lift(), &lift_src, n, cols.clone(), &mut got, prec);
+            prop_assert_eq!(
+                &got,
+                &lift_want,
+                "lift {} {} {:?} cols={:?}",
+                name,
+                backend,
+                prec,
+                cols
+            );
+            let mut got = vec![0u64; k * w];
+            lane.hps_scale_cols(sc, ctx, &scale_src, n, cols.clone(), &mut got, prec);
+            prop_assert_eq!(
+                &got,
+                &scale_want,
+                "scale {} {} {:?} cols={:?}",
+                name,
+                backend,
+                prec,
+                cols
+            );
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -209,4 +343,36 @@ fn active_table_matches_scalar() {
     dispatch::kernels().ntt_forward(&table, &mut active);
     dispatch::scalar_kernels().ntt_forward(&table, &mut scalar);
     assert_eq!(active, scalar, "backend={}", dispatch::backend_name());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A random column range plus fixed edge ranges — width 1, an odd
+    /// start with a width past one block that is no multiple of 4, and a
+    /// span that ends at the last column — on every shape.
+    #[test]
+    fn hps_lift_scale_bit_identical_to_oracle(
+        shape in 0usize..4,
+        start in any::<u64>(),
+        width in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        let shape = &hps_shapes()[shape];
+        let n = shape.n;
+        let start = (start % n as u64) as usize;
+        let width = 1 + (width % (n - start) as u64) as usize;
+        let ranges = [start..start + width, 1..2, 5..5 + 71, n - 7..n];
+        for cols in ranges {
+            check_hps_cols(shape, seed, cols)?;
+        }
+    }
+}
+
+/// The paper shape over all `n = 4096` columns, which also runs every
+/// full block of the streaming kernels.
+#[test]
+fn hps_paper_shape_full_width() {
+    let shape = &hps_shapes()[0];
+    check_hps_cols(shape, 0xF00D, 0..shape.n).unwrap();
 }
