@@ -49,7 +49,7 @@ fn main() {
     );
     println!(
         "{:<36} {:>10.2} ms/Mult {:>10.1} Mult/s",
-        "threaded (lifts/tensors/digits)",
+        "threaded (lifts/tensors/scales)",
         par_ms,
         1000.0 / par_ms
     );

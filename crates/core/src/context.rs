@@ -46,7 +46,8 @@ impl FvContext {
     /// # Errors
     ///
     /// Returns an error if the primes are not NTT-friendly for `n`, overlap
-    /// between bases, or the plaintext modulus is out of range.
+    /// between bases, lie outside `[2^29, 2^31)`, or the plaintext modulus
+    /// is out of range.
     pub fn new(params: FvParams) -> Result<Self, Error> {
         let rns = RnsContext::new(&params.q_primes, &params.p_primes).map_err(Error::Math)?;
         if params.t < 2 {
@@ -194,6 +195,29 @@ mod tests {
         let mut p = FvParams::insecure_toy();
         p.t = 1;
         assert!(FvContext::new(p).is_err());
+    }
+
+    #[test]
+    fn rejects_primes_outside_the_30_31_bit_range() {
+        use hefv_math::primes::ntt_primes;
+        for bits in [28u32, 32, 40] {
+            let bad = ntt_primes(bits, 64, 4).unwrap();
+            let toy = FvParams::insecure_toy();
+            let in_q = FvParams {
+                q_primes: bad[..3].to_vec(),
+                ..toy.clone()
+            };
+            let in_p = FvParams {
+                p_primes: bad.clone(),
+                ..toy
+            };
+            for params in [in_q, in_p] {
+                match FvContext::new(params) {
+                    Err(Error::Math(msg)) => assert!(msg.contains("[2^29, 2^31)"), "{msg}"),
+                    other => panic!("{bits}-bit primes: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@
 use crate::context::FvContext;
 use crate::encrypt::Ciphertext;
 use crate::keys::RelinKey;
+use crate::keyswitch::Digits;
 use crate::rnspoly::{Domain, RnsPoly};
 use crate::scratch::Arena;
 use hefv_math::rns::HpsPrecision;
@@ -399,36 +400,30 @@ pub fn relinearize(ctx: &FvContext, t: &TensorResult, rlk: &RelinKey) -> Ciphert
     relinearize_in(ctx, t, rlk, &Arena::new())
 }
 
-/// [`relinearize`] with the digit scratch and both accumulators drawn from
+/// [`relinearize`] with the digits and both accumulators drawn from
 /// `arena`; the accumulators become the output ciphertext, so nothing is
 /// allocated once the arena is warm.
+///
+/// Relinearization is the key switch of `c̃2` from `s²` to `s` under the
+/// identity permutation: the same hoisted decomposition and narrow SoP as
+/// a rotation, with `g = 1`.
 pub fn relinearize_in(
     ctx: &FvContext,
     t: &TensorResult,
     rlk: &RelinKey,
     arena: &Arena,
 ) -> Ciphertext {
-    let basis = ctx.base_q();
-    let k = ctx.params().k();
-    assert_eq!(rlk.digits(), k, "relin key digit count mismatch");
-    let n = ctx.params().n;
-
-    let mut acc0 = arena.take_poly_zeroed(k, n, Domain::Ntt);
-    let mut acc1 = arena.take_poly_zeroed(k, n, Domain::Ntt);
-    for i in 0..k {
-        // WordDecomp digit i = residue row i of d2, spread across all rows.
-        let mut digit = arena.take_poly(k, n, Domain::Coefficient);
-        ctx.spread_digit_into(t.d2.row(i), digit.flat_mut());
-        digit.ntt_forward(ctx.ntt_q());
-        acc0.pointwise_mul_acc(&digit, rlk.rlk0(i), basis);
-        acc1.pointwise_mul_acc(&digit, rlk.rlk1(i), basis);
-        arena.recycle(digit);
-    }
-    acc0.ntt_inverse(ctx.ntt_q());
-    acc1.ntt_inverse(ctx.ntt_q());
-    acc0.add_assign(&t.d0, basis);
-    acc1.add_assign(&t.d1, basis);
-    Ciphertext { c0: acc0, c1: acc1 }
+    assert_eq!(
+        rlk.digits(),
+        ctx.params().k(),
+        "relin key digit count mismatch"
+    );
+    let digits = Digits::new_in(ctx, &t.d2, arena);
+    let (mut c0, mut c1) = digits.switch_in(ctx, &rlk.key, &ctx.automorphism_table(1), arena);
+    digits.recycle(arena);
+    c0.add_assign(&t.d0, ctx.base_q());
+    c1.add_assign(&t.d1, ctx.base_q());
+    Ciphertext { c0, c1 }
 }
 
 /// Full homomorphic multiplication (Fig. 2).

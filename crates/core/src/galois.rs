@@ -3,8 +3,12 @@
 //! The map `σ_g : a(x) ↦ a(x^g)` (odd `g`, modulo `x^n + 1`) permutes the
 //! SIMD slots of a batched plaintext. Applying it to a ciphertext yields an
 //! encryption under the permuted secret `σ_g(s)`; a [`GaloisKey`] switches
-//! it back to `s` using the same RNS-digit machinery as relinearization
-//! (§II-B's `WordDecomp` + `SoP`).
+//! it back to `s`. That key switch is the same operation as
+//! relinearization (§II-B's `WordDecomp` + `SoP`) and runs through the same
+//! crate-private key-switching core: one key type, stored once as the
+//! 32-bit slot-major tables the SoP reads, and one SoP kernel
+//! ([`hefv_math::dispatch::Kernels::sop_narrow_row`]) for every basis
+//! [`FvContext`] accepts.
 //!
 //! # The hoisted key-switch datapath
 //!
@@ -55,11 +59,9 @@
 use crate::context::FvContext;
 use crate::encrypt::Ciphertext;
 use crate::keys::SecretKey;
+use crate::keyswitch::{Digits, KeySwitchKey};
 use crate::rnspoly::{Domain, RnsPoly};
-use crate::sampler;
 use crate::scratch::Arena;
-use hefv_math::ntt::GaloisPermutation;
-use hefv_math::rns::RnsBasis;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -100,7 +102,7 @@ pub fn apply_automorphism(ctx: &FvContext, poly: &RnsPoly, g: usize) -> RnsPoly 
 /// Applies `σ_g` to an **NTT-domain** polynomial: a pure index permutation
 /// per residue row, no negations (see the module docs' permutation
 /// invariant). Uses the context's cached
-/// [`GaloisPermutation`] table.
+/// [`GaloisPermutation`](hefv_math::ntt::GaloisPermutation) table.
 ///
 /// # Panics
 ///
@@ -149,21 +151,13 @@ fn add_automorphism_assign(ctx: &FvContext, acc: &mut RnsPoly, src: &RnsPoly, g:
 }
 
 /// A key-switching key for one Galois exponent: digit-wise encryptions of
-/// `h_i · σ_g(s)` under `s`, in NTT domain.
+/// `h_i · σ_g(s)` under `s`, in NTT domain, stored once in the 32-bit
+/// slot-major tables the hoisted SoP reads.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GaloisKey {
     /// The automorphism exponent.
     pub g: usize,
-    ksk0: Vec<RnsPoly>,
-    ksk1: Vec<RnsPoly>,
-    /// 32-bit shadow copy of the key, **slot-major transposed**: entry
-    /// `(j·n + t)·k + i` holds `ksk0[i]` row `j` slot `t`. Present when
-    /// every prime is narrow enough for the u64-accumulating SoP fast path
-    /// (see [`narrow_sop_ok`]). Built once at generation; the hot loop
-    /// then reads one contiguous `k`-wide line per slot and streams half
-    /// the key bytes.
-    ksk0_narrow: Vec<u32>,
-    ksk1_narrow: Vec<u32>,
+    pub(crate) key: KeySwitchKey,
 }
 
 impl GaloisKey {
@@ -178,162 +172,84 @@ impl GaloisKey {
         g: usize,
         rng: &mut R,
     ) -> Self {
-        let n = ctx.params().n;
-        assert!(is_valid_exponent(g, n), "invalid Galois exponent {g}");
-        let basis = ctx.base_q();
-        let k = ctx.params().k();
+        assert!(
+            is_valid_exponent(g, ctx.params().n),
+            "invalid Galois exponent {g}"
+        );
         // σ_g(s) in NTT domain.
         let mut s_coeff = sk.s_ntt().clone();
         s_coeff.ntt_inverse(ctx.ntt_q());
         let mut s_g = apply_automorphism(ctx, &s_coeff, g);
         s_g.ntt_forward(ctx.ntt_q());
-
-        let mut ksk0 = Vec::with_capacity(k);
-        let mut ksk1 = Vec::with_capacity(k);
-        for i in 0..k {
-            let mut a = sampler::uniform_poly(rng, basis, n);
-            a.ntt_forward(ctx.ntt_q());
-            let mut e = sampler::gaussian_poly(rng, basis, n, ctx.params().sigma);
-            e.ntt_forward(ctx.ntt_q());
-            let mut key0 = a.pointwise_mul(sk.s_ntt(), basis).add(&e, basis).neg(basis);
-            {
-                // + h_i · σ_g(s): the idempotent touches only row i.
-                let m = *basis.modulus(i);
-                for (d, &sc) in key0.row_mut(i).iter_mut().zip(s_g.row(i)) {
-                    *d = m.add(*d, sc);
-                }
-            }
-            ksk0.push(key0);
-            ksk1.push(a);
+        GaloisKey {
+            g,
+            key: KeySwitchKey::generate(ctx, sk, &s_g, rng),
         }
-        Self::assemble(basis, g, ksk0, ksk1)
     }
 
-    /// Reassembles a key from its digit polynomials (e.g. after a wire
-    /// decode), rebuilding the narrow 32-bit shadows so the reassembled
-    /// key takes the same SoP fast path as a freshly generated one.
+    /// Reassembles a key from its digit polynomials (e.g. from a
+    /// relinearization key's digits, which make a `g = 1` key).
     ///
     /// # Errors
     ///
     /// Returns [`crate::Error::Wire`] when the exponent is invalid or the
     /// digit vectors disagree with the context's shape (digit count,
-    /// residue count, ring degree, NTT domain).
+    /// residue count, ring degree, NTT domain, residue range).
     pub fn from_parts(
         ctx: &FvContext,
         g: usize,
         ksk0: Vec<RnsPoly>,
         ksk1: Vec<RnsPoly>,
     ) -> Result<Self, crate::Error> {
-        let n = ctx.params().n;
-        let k = ctx.params().k();
-        if !is_valid_exponent(g, n) {
-            return Err(crate::Error::Wire(format!("invalid Galois exponent {g}")));
-        }
-        if ksk0.len() != k || ksk1.len() != k {
-            return Err(crate::Error::Wire(format!(
-                "galois key has {}+{} digits, context wants {k}",
-                ksk0.len(),
-                ksk1.len()
-            )));
-        }
-        for p in ksk0.iter().chain(&ksk1) {
-            if p.k() != k || p.n() != n || p.domain() != Domain::Ntt {
-                return Err(crate::Error::Wire(
-                    "galois key digit has the wrong shape or domain".into(),
-                ));
-            }
-        }
-        Ok(Self::assemble(ctx.base_q(), g, ksk0, ksk1))
+        Self::from_key(ctx, g, KeySwitchKey::from_parts(ctx, ksk0, ksk1)?)
     }
 
-    /// Builds the key struct, deriving the narrow shadows from the digits.
-    fn assemble(basis: &RnsBasis, g: usize, ksk0: Vec<RnsPoly>, ksk1: Vec<RnsPoly>) -> Self {
-        let k = ksk0.len();
-        let (ksk0_narrow, ksk1_narrow) = if k > 0 && narrow_sop_ok(basis, k) {
-            let n = ksk0[0].n();
-            let transpose = |polys: &[RnsPoly]| {
-                let mut out = vec![0u32; k * k * n];
-                for (i, p) in polys.iter().enumerate() {
-                    for j in 0..k {
-                        for (t, &v) in p.row(j).iter().enumerate() {
-                            out[(j * n + t) * k + i] = v as u32;
-                        }
-                    }
-                }
-                out
-            };
-            (transpose(&ksk0), transpose(&ksk1))
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        GaloisKey {
-            g,
-            ksk0,
-            ksk1,
-            ksk0_narrow,
-            ksk1_narrow,
+    /// Wraps validated switching-key tables (shared with the wire decoder).
+    pub(crate) fn from_key(
+        ctx: &FvContext,
+        g: usize,
+        key: KeySwitchKey,
+    ) -> Result<Self, crate::Error> {
+        if !is_valid_exponent(g, ctx.params().n) {
+            return Err(crate::Error::Wire(format!("invalid Galois exponent {g}")));
         }
+        Ok(GaloisKey { g, key })
     }
 
     /// Number of digits.
     pub fn digits(&self) -> usize {
-        self.ksk0.len()
+        self.key.shape().0
     }
 
-    /// `ksk0_i` in NTT domain.
-    pub fn ksk0(&self, i: usize) -> &RnsPoly {
-        &self.ksk0[i]
+    /// `ksk0_i` in NTT domain, as an owned `u64` copy of the stored
+    /// 32-bit table.
+    pub fn ksk0(&self, i: usize) -> RnsPoly {
+        self.key.digit(0, i)
     }
 
-    /// `ksk1_i` in NTT domain.
-    pub fn ksk1(&self, i: usize) -> &RnsPoly {
-        &self.ksk1[i]
+    /// `ksk1_i` in NTT domain, as an owned `u64` copy.
+    pub fn ksk1(&self, i: usize) -> RnsPoly {
+        self.key.digit(1, i)
     }
-
-    /// All `ksk0` digits, in order (what the wire codec streams).
-    pub fn ksk0_polys(&self) -> &[RnsPoly] {
-        &self.ksk0
-    }
-
-    /// All `ksk1` digits, in order.
-    pub fn ksk1_polys(&self) -> &[RnsPoly] {
-        &self.ksk1
-    }
-}
-
-/// Whether the u64-accumulating SoP fast path is sound for a basis: every
-/// prime must fit `u32` and a whole `k`-digit dot (plus the fused `c0`
-/// seed) must fit `u64` without reduction:
-/// `(k·(q−1) + 1)·(q−1) < 2^64`. True for the paper's 30-bit primes with a
-/// wide margin.
-fn narrow_sop_ok(basis: &RnsBasis, k: usize) -> bool {
-    basis.moduli().iter().all(|m| {
-        let q = m.value() as u128;
-        q < (1 << 32) && (k as u128 * (q - 1) + 1) * (q - 1) < (1 << 64)
-    })
 }
 
 /// One ciphertext's σ-independent key-switch precomputation: the
 /// NTT-domain digit decomposition of `c1`, computed once and shared by any
 /// number of rotations (the Halevi–Shoup hoisting of the module docs).
 ///
-/// On narrow (≤ 31-bit) primes the digits are stored as one slot-major
-/// transposed 32-bit buffer — entry `(j·n + t)·k + i` is digit `i`, row
-/// `j`, slot `t` — so a rotation's gather reads one contiguous `k`-wide
-/// line per slot, matching the transposed key shadow. Wider primes fall
-/// back to `k` digit polynomials packed into a flat `k² × n` `u64` buffer.
-/// Either way the precomputation is a handful of arena-recyclable buffers
-/// and construction allocates nothing when served from a warm [`Arena`].
+/// The digits live in one 32-bit arena buffer, in the slot-major layout
+/// the key tables share, so a rotation's gather reads one contiguous
+/// `k`-wide line per slot. Together with copies of `c0` and `c1` that is
+/// three arena-recyclable buffers, and construction allocates nothing
+/// when served from a warm [`Arena`].
 #[derive(Debug)]
 pub struct HoistedCiphertext {
     /// `c0`, coefficient domain.
     c0: RnsPoly,
     /// `c1`, coefficient domain (needed by the slot-sum group fold).
     c1: RnsPoly,
-    /// Wide fallback: `NTT(spread(c1 mod q_i))`, rows `i·k..(i+1)·k`.
-    digits: Option<RnsPoly>,
-    /// Narrow fast path: the same digits, slot-major transposed `u32`.
-    digits32: Option<Vec<u32>>,
+    /// `NTT(spread(c1 mod q_i))` for every digit `i`.
+    digits: Digits,
     k: usize,
 }
 
@@ -359,63 +275,15 @@ impl HoistedCiphertext {
         c0.copy_from(ct.c0());
         let mut c1 = arena.take_poly(k, n, Domain::Coefficient);
         c1.copy_from(ct.c1());
-        let (digits, digits32) = if narrow_sop_ok(ctx.base_q(), k) {
-            let mut d32 = arena.take32(k * k * n);
-            let mut scratch = arena.take_poly(k, n, Domain::Coefficient);
-            decompose_narrow_into(ctx, &c1, &mut scratch, &mut d32);
-            arena.recycle(scratch);
-            (None, Some(d32))
-        } else {
-            let mut digits = arena.take_poly(k * k, n, Domain::Ntt);
-            decompose_wide_into(ctx, &c1, &mut digits);
-            (Some(digits), None)
-        };
-        HoistedCiphertext {
-            c0,
-            c1,
-            digits,
-            digits32,
-            k,
-        }
+        let digits = Digits::new_in(ctx, &c1, arena);
+        HoistedCiphertext { c0, c1, digits, k }
     }
 
     /// Recycles the hoisted buffers into an arena.
     pub fn recycle(self, arena: &Arena) {
         arena.recycle(self.c0);
         arena.recycle(self.c1);
-        if let Some(d) = self.digits {
-            arena.recycle(d);
-        }
-        if let Some(d32) = self.digits32 {
-            arena.put32(d32);
-        }
-    }
-
-    /// Dispatches one rotation's SoP accumulation onto the narrow or wide
-    /// kernel, matching the digit storage built at hoist time.
-    fn sop_acc(
-        &self,
-        basis: &RnsBasis,
-        key: &GaloisKey,
-        perm: &GaloisPermutation,
-        c0_ntt: Option<&RnsPoly>,
-        acc0: &mut RnsPoly,
-        acc1: &mut RnsPoly,
-    ) {
-        match (&self.digits32, &self.digits) {
-            (Some(d32), _) => {
-                assert!(
-                    !key.ksk0_narrow.is_empty(),
-                    "narrow hoisted digits but key lacks the 32-bit shadow \
-                     (key generated against a different basis?)"
-                );
-                sop_acc_narrow(basis, d32, key, perm, c0_ntt, acc0, acc1);
-            }
-            (None, Some(digits)) => {
-                sop_acc_wide(basis, digits, key, perm, c0_ntt, acc0, acc1);
-            }
-            (None, None) => unreachable!("hoisted ciphertext always stores digits"),
-        }
+        self.digits.recycle(arena);
     }
 
     /// One hoisted rotation: permutation + key inner product + two inverse
@@ -435,18 +303,12 @@ impl HoistedCiphertext {
     ///
     /// Panics if the key's digit count mismatches the context.
     pub fn rotate_in(&self, ctx: &FvContext, key: &GaloisKey, arena: &Arena) -> Ciphertext {
-        let (k, n) = (self.k, self.c0.n());
-        assert_eq!(key.digits(), k, "digit count mismatch");
-        let basis = ctx.base_q();
+        assert_eq!(key.digits(), self.k, "digit count mismatch");
         let perm = ctx.automorphism_table(key.g);
-        let mut acc0 = arena.take_poly_zeroed(k, n, Domain::Ntt);
-        let mut acc1 = arena.take_poly_zeroed(k, n, Domain::Ntt);
-        self.sop_acc(basis, key, &perm, None, &mut acc0, &mut acc1);
-        acc0.ntt_inverse(ctx.ntt_q());
-        acc1.ntt_inverse(ctx.ntt_q());
+        let (mut c0, c1) = self.digits.switch_in(ctx, &key.key, &perm, arena);
         // c0' = σ_g(c0) + SoP0, accumulated without materializing σ_g(c0).
-        add_automorphism_assign(ctx, &mut acc0, &self.c0, key.g);
-        Ciphertext { c0: acc0, c1: acc1 }
+        add_automorphism_assign(ctx, &mut c0, &self.c0, key.g);
+        Ciphertext { c0, c1 }
     }
 
     /// The slot-sum group fold: returns `ct + Σ_r σ_r(ct)` (key-switched)
@@ -475,7 +337,8 @@ impl HoistedCiphertext {
         for key in keys {
             assert_eq!(key.digits(), k, "digit count mismatch");
             let perm = ctx.automorphism_table(key.g);
-            self.sop_acc(basis, key, &perm, None, &mut acc0, &mut acc1);
+            self.digits
+                .sop_acc(ctx, &key.key, &perm, None, &mut acc0, &mut acc1);
             add_automorphism_assign(ctx, &mut c0_rot, &self.c0, key.g);
         }
         acc0.ntt_inverse(ctx.ntt_q());
@@ -485,180 +348,6 @@ impl HoistedCiphertext {
         acc1.add_assign(&self.c1, basis);
         arena.recycle(c0_rot);
         Ciphertext { c0: acc0, c1: acc1 }
-    }
-}
-
-/// Slots the hoisted SoP processes per stack block (bounds the `u128`
-/// partial-sum scratch at `2 × 8 KiB`).
-const SOP_BLOCK: usize = 512;
-
-/// Accumulates one rotation's key inner product into the NTT-domain
-/// accumulators, with the automorphism permutation fused in as a gather:
-///
-/// `acc_b[j][t] += Σ_i digits[i·k+j][π(t)] · ksk_b[i][j][t]  (mod q_j)`
-///
-/// When `c0_ntt` is given (the slot-sum fold, which keeps `c0` NTT-domain
-/// for its whole lifetime), the permuted `c0` value `c0[j][π(t)]` is
-/// seeded into the same partial sum, so the rotation's entire `acc0`
-/// contribution costs one extra gather — no separate automorphism pass.
-///
-/// The digit products accumulate in `u128` and reduce **once** per slot
-/// (Barrett), instead of once per digit — safe because at most
-/// `⌊2¹²⁸/(q−1)²⌋` terms are folded between reductions (for 30-bit primes
-/// that is astronomically more than `k`; near the 62-bit modulus bound the
-/// loop reduces intermittently).
-fn sop_acc_wide(
-    basis: &RnsBasis,
-    digits: &RnsPoly,
-    key: &GaloisKey,
-    perm: &GaloisPermutation,
-    c0_ntt: Option<&RnsPoly>,
-    acc0: &mut RnsPoly,
-    acc1: &mut RnsPoly,
-) {
-    let k = acc0.k();
-    let n = acc0.n();
-    let table = perm.table();
-    let mut s0 = [0u128; SOP_BLOCK];
-    let mut s1 = [0u128; SOP_BLOCK];
-    for j in 0..k {
-        let m = basis.modulus(j);
-        let qm1 = (m.value() - 1) as u128;
-        // How many q²-sized terms fit in u128 before a reduction is due.
-        let max_terms = (u128::MAX / (qm1 * qm1).max(1)).min(usize::MAX as u128) as usize;
-        let a0 = acc0.row_mut(j);
-        let a1 = acc1.row_mut(j);
-        let mut start = 0usize;
-        while start < n {
-            let w = SOP_BLOCK.min(n - start);
-            let tbl = &table[start..start + w];
-            match c0_ntt {
-                Some(c0) => {
-                    let row = c0.row(j);
-                    for (s, &p) in s0[..w].iter_mut().zip(tbl) {
-                        *s = row[p as usize] as u128;
-                    }
-                }
-                None => s0[..w].fill(0),
-            }
-            s1[..w].fill(0);
-            let mut folded = 0usize;
-            for i in 0..k {
-                let digit = digits.row(i * k + j);
-                let k0 = &key.ksk0[i].row(j)[start..start + w];
-                let k1 = &key.ksk1[i].row(j)[start..start + w];
-                for (((s0t, s1t), &p), (&w0, &w1)) in s0[..w]
-                    .iter_mut()
-                    .zip(s1[..w].iter_mut())
-                    .zip(tbl)
-                    .zip(k0.iter().zip(k1))
-                {
-                    let d = digit[p as usize] as u128;
-                    *s0t += d * w0 as u128;
-                    *s1t += d * w1 as u128;
-                }
-                folded += 1;
-                if folded >= max_terms && i + 1 < k {
-                    // Large-modulus safety valve: compress the partials so
-                    // the next max_terms products cannot overflow.
-                    for (s0t, s1t) in s0[..w].iter_mut().zip(s1[..w].iter_mut()) {
-                        *s0t = m.reduce_u128(*s0t) as u128;
-                        *s1t = m.reduce_u128(*s1t) as u128;
-                    }
-                    folded = 1;
-                }
-            }
-            for ((&s0t, &s1t), (a0t, a1t)) in s0[..w].iter().zip(s1[..w].iter()).zip(
-                a0[start..start + w]
-                    .iter_mut()
-                    .zip(&mut a1[start..start + w]),
-            ) {
-                *a0t = m.add(*a0t, m.reduce_u128(s0t));
-                *a1t = m.add(*a1t, m.reduce_u128(s1t));
-            }
-            start += w;
-        }
-    }
-}
-
-/// The u64-accumulating SoP fast path for narrow (≤ 31-bit) primes. Both
-/// the hoisted digits and the key shadow are slot-major transposed, so
-/// each slot's whole `k`-digit dot reads three contiguous `k`-wide lines
-/// (digit line gathered at `π(t)`, two key lines at `t`), accumulates in
-/// `u64` — sound by [`narrow_sop_ok`], including the fused `c0` seed — and
-/// reduces once with the single-word Barrett
-/// ([`hefv_math::zq::Modulus::reduce_u64`]).
-///
-/// The per-residue inner loop lives behind the
-/// [`hefv_math::dispatch`] kernel seam (`sop_narrow_row`), so the dot
-/// products run 4 digits per AVX2 lane where the hardware has them and
-/// fall back to the identical scalar accumulation otherwise.
-fn sop_acc_narrow(
-    basis: &RnsBasis,
-    digits32: &[u32],
-    key: &GaloisKey,
-    perm: &GaloisPermutation,
-    c0_ntt: Option<&RnsPoly>,
-    acc0: &mut RnsPoly,
-    acc1: &mut RnsPoly,
-) {
-    let k = acc0.k();
-    let n = acc0.n();
-    debug_assert_eq!(digits32.len(), k * k * n);
-    debug_assert_eq!(key.ksk0_narrow.len(), k * k * n);
-    let table = perm.table();
-    let kernels = hefv_math::dispatch::kernels();
-    for j in 0..k {
-        let m = basis.modulus(j);
-        let c0_row = c0_ntt.map(|c0| c0.row(j));
-        let lo = j * n * k;
-        let hi = lo + n * k;
-        kernels.sop_narrow_row(
-            m,
-            table,
-            &digits32[lo..hi],
-            &key.ksk0_narrow[lo..hi],
-            &key.ksk1_narrow[lo..hi],
-            c0_row,
-            acc0.row_mut(j),
-            acc1.row_mut(j),
-        );
-    }
-}
-
-/// Builds the wide (`u64`) hoisted digit buffer: digit `i` spread across
-/// the `q` residues and forward-transformed, at rows `i·k .. (i+1)·k`.
-fn decompose_wide_into(ctx: &FvContext, c1: &RnsPoly, digits: &mut RnsPoly) {
-    let k = c1.k();
-    let n = c1.n();
-    let tables = ctx.ntt_q();
-    for i in 0..k {
-        let rows = digits.rows_mut(i * k, (i + 1) * k);
-        ctx.spread_digit_into(c1.row(i), rows);
-        for (j, row) in rows.chunks_mut(n).enumerate() {
-            tables[j].forward(row);
-        }
-    }
-}
-
-/// Builds the narrow slot-major transposed digit buffer: each digit is
-/// spread and transformed in the `k × n` u64 scratch, then scattered into
-/// `d32[(j·n + t)·k + i]` (one sequential stride-`k` write pass per row).
-fn decompose_narrow_into(ctx: &FvContext, c1: &RnsPoly, scratch: &mut RnsPoly, d32: &mut [u32]) {
-    let k = c1.k();
-    let n = c1.n();
-    debug_assert_eq!(d32.len(), k * k * n);
-    let tables = ctx.ntt_q();
-    for i in 0..k {
-        ctx.spread_digit_into(c1.row(i), scratch.flat_mut());
-        for (j, row) in scratch.flat_mut().chunks_mut(n).enumerate() {
-            tables[j].forward(row);
-        }
-        for j in 0..k {
-            for (t, &v) in scratch.row(j).iter().enumerate() {
-                d32[(j * n + t) * k + i] = v as u32;
-            }
-        }
     }
 }
 
@@ -740,8 +429,8 @@ pub fn apply_galois_reference(ctx: &FvContext, ct: &Ciphertext, key: &GaloisKey)
         let spread = ctx.spread_digit(c1g.row(i));
         let mut digit = RnsPoly::from_flat(spread, k, Domain::Coefficient);
         digit.ntt_forward(ctx.ntt_q());
-        acc0.pointwise_mul_acc(&digit, &key.ksk0[i], basis);
-        acc1.pointwise_mul_acc(&digit, &key.ksk1[i], basis);
+        acc0.pointwise_mul_acc(&digit, &key.ksk0(i), basis);
+        acc1.pointwise_mul_acc(&digit, &key.ksk1(i), basis);
     }
     acc0.ntt_inverse(ctx.ntt_q());
     acc1.ntt_inverse(ctx.ntt_q());
@@ -919,37 +608,16 @@ pub fn sum_slots_in(
     let mut c1 = arena.take_poly(k, n, Domain::Coefficient);
     c1.copy_from(ct.c1());
 
-    // Narrow fast path only if the basis qualifies AND every key carries
-    // its 32-bit shadow.
-    let narrow =
-        narrow_sop_ok(ctx.base_q(), k) && keys.keys.iter().all(|key| !key.ksk0_narrow.is_empty());
-    let mut digits = (!narrow).then(|| arena.take_poly(k * k, n, Domain::Ntt));
-    let mut digits32 = narrow.then(|| arena.take32(k * k * n));
-    let mut scratch = narrow.then(|| arena.take_poly(k, n, Domain::Coefficient));
     let mut acc0 = arena.take_poly_zeroed(k, n, Domain::Ntt);
     for group in keys.groups() {
         // Decompose the current c1 (the group's hoisted precomputation).
-        match (&mut digits32, &mut digits) {
-            (Some(d32), _) => {
-                decompose_narrow_into(ctx, &c1, scratch.as_mut().expect("narrow scratch"), d32);
-            }
-            (None, Some(d)) => decompose_wide_into(ctx, &c1, d),
-            (None, None) => unreachable!(),
-        }
+        let digits = Digits::new_in(ctx, &c1, arena);
         acc0.flat_mut().fill(0);
         let mut acc1 = arena.take_poly_zeroed(k, n, Domain::Ntt);
         for &ki in group {
             let key = &keys.keys[ki];
             let perm = ctx.automorphism_table(key.g);
-            match (&digits32, &digits) {
-                (Some(d32), _) => {
-                    sop_acc_narrow(basis, d32, key, &perm, Some(&c0_ntt), &mut acc0, &mut acc1);
-                }
-                (None, Some(d)) => {
-                    sop_acc_wide(basis, d, key, &perm, Some(&c0_ntt), &mut acc0, &mut acc1);
-                }
-                (None, None) => unreachable!(),
-            }
+            digits.sop_acc(ctx, &key.key, &perm, Some(&c0_ntt), &mut acc0, &mut acc1);
         }
         // C0 ← C0 + Σ_r (π_r(C0) + SoP0_r): still NTT-domain, no inverse.
         c0_ntt.add_assign(&acc0, basis);
@@ -958,15 +626,7 @@ pub fn sum_slots_in(
         acc1.ntt_inverse(tables);
         c1.add_assign(&acc1, basis);
         arena.recycle(acc1);
-    }
-    if let Some(d) = digits {
-        arena.recycle(d);
-    }
-    if let Some(d32) = digits32 {
-        arena.put32(d32);
-    }
-    if let Some(s) = scratch {
-        arena.recycle(s);
+        digits.recycle(arena);
     }
     arena.recycle(acc0);
     c0_ntt.ntt_inverse(tables);

@@ -8,6 +8,7 @@
 //! `h_i = q̃_i·(q/q_i) mod q` (so `Σ_i a_i·h_i ≡ a (mod q)`).
 
 use crate::context::FvContext;
+use crate::keyswitch::KeySwitchKey;
 use crate::rnspoly::RnsPoly;
 use crate::sampler;
 use rand::Rng;
@@ -70,67 +71,49 @@ impl PublicKey {
 }
 
 /// Relinearization key: for each RNS digit `i`, a pair
-/// `(rlk0_i, rlk1_i) = (-(a_i·s + e_i) + h_i·s², a_i)` in NTT domain.
+/// `(rlk0_i, rlk1_i) = (-(a_i·s + e_i) + h_i·s², a_i)` in NTT domain — the
+/// key switch from `s²` to `s`, stored once in the 32-bit slot-major
+/// tables the key-switch SoP reads.
 ///
 /// Because `h_i` is the CRT idempotent (`h_i ≡ δ_{ij} mod q_j`), the
 /// `h_i·s²` term touches only residue row `i`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RelinKey {
-    pub(crate) rlk0: Vec<RnsPoly>,
-    pub(crate) rlk1: Vec<RnsPoly>,
+    pub(crate) key: KeySwitchKey,
 }
 
 impl RelinKey {
     /// Generates the relinearization key for `s`.
     pub fn generate<R: Rng + ?Sized>(ctx: &FvContext, sk: &SecretKey, rng: &mut R) -> Self {
-        let basis = ctx.base_q();
-        let n = ctx.params().n;
-        let k = ctx.params().k();
-        let s2 = sk.s_ntt.pointwise_mul(&sk.s_ntt, basis);
-        let mut rlk0 = Vec::with_capacity(k);
-        let mut rlk1 = Vec::with_capacity(k);
-        for i in 0..k {
-            let mut a = sampler::uniform_poly(rng, basis, n);
-            a.ntt_forward(ctx.ntt_q());
-            let mut e = sampler::gaussian_poly(rng, basis, n, ctx.params().sigma);
-            e.ntt_forward(ctx.ntt_q());
-            let mut key0 = a.pointwise_mul(&sk.s_ntt, basis).add(&e, basis).neg(basis);
-            // add h_i * s^2: only residue row i is nonzero (h_i ≡ δ_ij).
-            {
-                let m = *basis.modulus(i);
-                for (d, &s2c) in key0.row_mut(i).iter_mut().zip(s2.row(i)) {
-                    *d = m.add(*d, s2c);
-                }
-            }
-            rlk0.push(key0);
-            rlk1.push(a);
+        let s2 = sk.s_ntt.pointwise_mul(&sk.s_ntt, ctx.base_q());
+        RelinKey {
+            key: KeySwitchKey::generate(ctx, sk, &s2, rng),
         }
-        RelinKey { rlk0, rlk1 }
     }
 
     /// Number of digits (equals the number of `q` primes).
     pub fn digits(&self) -> usize {
-        self.rlk0.len()
+        self.key.shape().0
     }
 
-    /// `rlk0_i` in NTT domain.
-    pub fn rlk0(&self, i: usize) -> &RnsPoly {
-        &self.rlk0[i]
+    /// `rlk0_i` in NTT domain, as an owned `u64` copy of the stored
+    /// 32-bit table.
+    pub fn rlk0(&self, i: usize) -> RnsPoly {
+        self.key.digit(0, i)
     }
 
-    /// `rlk1_i` in NTT domain.
-    pub fn rlk1(&self, i: usize) -> &RnsPoly {
-        &self.rlk1[i]
+    /// `rlk1_i` in NTT domain, as an owned `u64` copy.
+    pub fn rlk1(&self, i: usize) -> RnsPoly {
+        self.key.digit(1, i)
     }
 
     /// Total size in bytes when each coefficient is stored as 4 bytes —
     /// the quantity the coprocessor must DMA during relinearization
     /// (§VI-A: "Only during the relinearization steps, data transfer is
-    /// needed to load the large relinearization keys").
+    /// needed to load the large relinearization keys"), and the key's
+    /// in-memory size.
     pub fn transfer_bytes(&self) -> usize {
-        let per_poly = |p: &RnsPoly| p.k() * p.n() * 4;
-        self.rlk0.iter().map(&per_poly).sum::<usize>()
-            + self.rlk1.iter().map(per_poly).sum::<usize>()
+        self.key.bytes()
     }
 }
 

@@ -1,0 +1,294 @@
+//! The key-switching core: one key type and one sum-of-products routine
+//! behind every key switch.
+//!
+//! Relinearization (`WordDecomp` + `ReLin`, step 4 of the paper's Fig. 2)
+//! and a Galois rotation are the same operation. A polynomial `c` that
+//! multiplies some `s'` at decryption (`s²` for the `c̃2` of a tensor
+//! product, `σ_g(s)` for the `c1` of an automorphism) is split into RNS
+//! digits `D_i = c mod q_i`, and the digits' inner product with a
+//! switching key for `s'` yields an encryption of `c·s'` under `s`.
+//! Relinearization is the switch of `c̃2` under the identity permutation
+//! (`g = 1`); a rotation permutes the NTT-domain digits first.
+//!
+//! This module alone knows the table layout. Digits and keys are stored
+//! **slot-major** as `u32`: entry `(j·n + t)·k + i` holds digit `i`,
+//! residue `j`, slot `t`. The SoP kernel
+//! ([`hefv_math::dispatch::Kernels::sop_narrow_row`]) then reads one
+//! contiguous `k`-wide line per slot. [`FvContext`] admits only primes in
+//! `[2^29, 2^31)`, so every residue fits a `u32` lane, and the kernel's
+//! partial folds keep its `u64` sums exact for any `k`.
+
+use crate::context::FvContext;
+use crate::error::Error;
+use crate::keys::SecretKey;
+use crate::rnspoly::{Domain, RnsPoly};
+use crate::sampler;
+use crate::scratch::Arena;
+use hefv_math::ntt::GaloisPermutation;
+use rand::Rng;
+use serde::{Deserialize, Serialize};
+
+/// A switching key from some `s'` to `s`: for each RNS digit `i`, the pair
+/// `(ksk0_i, ksk1_i) = (−(a_i·s + e_i) + h_i·s', a_i)` in NTT domain, where
+/// `h_i` is the CRT idempotent (`h_i ≡ δ_ij mod q_j`). Stored only as the
+/// two slot-major `u32` tables the SoP reads.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub(crate) struct KeySwitchKey {
+    k: usize,
+    n: usize,
+    /// `ksk0` and `ksk1`, each `k·k·n` entries in the module's layout.
+    tables: [Vec<u32>; 2],
+}
+
+/// The order in which a key's `2k` digit polynomials travel on the wire.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum WireOrder {
+    /// `ksk0_i, ksk1_i` digit by digit (relinearization keys).
+    Pairs,
+    /// Every `ksk0_i`, then every `ksk1_i` (Galois keys).
+    Halves,
+}
+
+impl WireOrder {
+    /// `(half, digit)` of each polynomial on the wire, in order.
+    fn polys(self, k: usize) -> impl Iterator<Item = (usize, usize)> {
+        (0..2 * k).map(move |x| match self {
+            WireOrder::Pairs => (x % 2, x / 2),
+            WireOrder::Halves => (x / k, x % k),
+        })
+    }
+}
+
+impl KeySwitchKey {
+    fn zeroed(k: usize, n: usize) -> Self {
+        KeySwitchKey {
+            k,
+            n,
+            tables: [vec![0; k * k * n], vec![0; k * k * n]],
+        }
+    }
+
+    /// Generates a key switching `target` (`s'` in NTT domain) to `s`.
+    pub(crate) fn generate<R: Rng + ?Sized>(
+        ctx: &FvContext,
+        sk: &SecretKey,
+        target: &RnsPoly,
+        rng: &mut R,
+    ) -> Self {
+        let basis = ctx.base_q();
+        let (k, n) = (ctx.params().k(), ctx.params().n);
+        let mut key = Self::zeroed(k, n);
+        for i in 0..k {
+            let mut a = sampler::uniform_poly(rng, basis, n);
+            a.ntt_forward(ctx.ntt_q());
+            let mut e = sampler::gaussian_poly(rng, basis, n, ctx.params().sigma);
+            e.ntt_forward(ctx.ntt_q());
+            let mut key0 = a.pointwise_mul(sk.s_ntt(), basis).add(&e, basis).neg(basis);
+            // + h_i · s': the idempotent touches only row i.
+            let m = *basis.modulus(i);
+            for (d, &x) in key0.row_mut(i).iter_mut().zip(target.row(i)) {
+                *d = m.add(*d, x);
+            }
+            key.set_digit(0, i, &key0);
+            key.set_digit(1, i, &a);
+        }
+        key
+    }
+
+    /// Builds a key from its digit polynomials.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Wire`] when the digit vectors disagree with the
+    /// context's shape (digit count, residue count, ring degree, NTT
+    /// domain) or hold a residue outside `[0, q_j)`.
+    pub(crate) fn from_parts(
+        ctx: &FvContext,
+        ksk0: Vec<RnsPoly>,
+        ksk1: Vec<RnsPoly>,
+    ) -> Result<Self, Error> {
+        let (k, n) = (ctx.params().k(), ctx.params().n);
+        if ksk0.len() != k || ksk1.len() != k {
+            return Err(Error::Wire(format!(
+                "switching key has {}+{} digits, context wants {k}",
+                ksk0.len(),
+                ksk1.len()
+            )));
+        }
+        let mut key = Self::zeroed(k, n);
+        for (half, polys) in [ksk0, ksk1].iter().enumerate() {
+            for (i, p) in polys.iter().enumerate() {
+                if p.k() != k || p.n() != n || p.domain() != Domain::Ntt {
+                    return Err(Error::Wire(
+                        "switching key digit has the wrong shape or domain".into(),
+                    ));
+                }
+                for (j, row) in p.rows().enumerate() {
+                    let q = ctx.base_q().modulus(j).value();
+                    if row.iter().any(|&c| c >= q) {
+                        return Err(Error::Wire(format!(
+                            "switching key residue {j} has out-of-range coefficient"
+                        )));
+                    }
+                }
+                key.set_digit(half, i, p);
+            }
+        }
+        Ok(key)
+    }
+
+    /// Scatters digit `i` of one half into its table.
+    fn set_digit(&mut self, half: usize, i: usize, p: &RnsPoly) {
+        let k = self.k;
+        for (x, &v) in p.flat().iter().enumerate() {
+            self.tables[half][x * k + i] = v as u32;
+        }
+    }
+
+    /// `(k, n)`: digits (= `q` primes, = residues per digit) and ring
+    /// degree.
+    pub(crate) fn shape(&self) -> (usize, usize) {
+        (self.k, self.n)
+    }
+
+    /// Digit `i` of `ksk0` (`half = 0`) or `ksk1` (`half = 1`) as an owned
+    /// NTT-domain `u64` polynomial, for oracles and tests.
+    pub(crate) fn digit(&self, half: usize, i: usize) -> RnsPoly {
+        let flat = self.digit_coeffs(half, i).collect();
+        RnsPoly::from_flat(flat, self.k, Domain::Ntt)
+    }
+
+    /// The coefficients of one digit polynomial, residue-major.
+    fn digit_coeffs(&self, half: usize, i: usize) -> impl Iterator<Item = u64> + '_ {
+        self.tables[half][i..]
+            .iter()
+            .step_by(self.k)
+            .map(|&v| u64::from(v))
+    }
+
+    /// Bytes of key material held (`2·k²·n` residues of 4 bytes).
+    pub(crate) fn bytes(&self) -> usize {
+        (self.tables[0].len() + self.tables[1].len()) * 4
+    }
+
+    /// Appends the `2k` digit polynomials in wire format (see
+    /// [`crate::wire`]), in `order`.
+    pub(crate) fn encode(&self, order: WireOrder, out: &mut Vec<u8>) {
+        for (half, i) in order.polys(self.k) {
+            crate::wire::put_key_coeffs(out, Domain::Ntt, self.digit_coeffs(half, i));
+        }
+    }
+
+    /// Reads `2k` digit polynomials in `order` through `read` and builds
+    /// the key.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `read` returns, or a [`KeySwitchKey::from_parts`] error.
+    pub(crate) fn decode(
+        ctx: &FvContext,
+        order: WireOrder,
+        mut read: impl FnMut() -> Result<RnsPoly, Error>,
+    ) -> Result<Self, Error> {
+        let k = ctx.params().k();
+        let mut halves = [Vec::with_capacity(k), Vec::with_capacity(k)];
+        for (half, _) in order.polys(k) {
+            halves[half].push(read()?);
+        }
+        let [ksk0, ksk1] = halves;
+        Self::from_parts(ctx, ksk0, ksk1)
+    }
+}
+
+/// The σ-independent half of a key switch: the NTT-domain digit
+/// decomposition of one polynomial, in the module's slot-major layout,
+/// held in an arena buffer.
+#[derive(Debug)]
+pub(crate) struct Digits(Vec<u32>);
+
+impl Digits {
+    /// Decomposes `c` (coefficient domain), drawing every buffer from
+    /// `arena`: each digit is spread across the residues and
+    /// forward-transformed in a `k × n` scratch, then scattered into the
+    /// table (one stride-`k` write pass per row).
+    pub(crate) fn new_in(ctx: &FvContext, c: &RnsPoly, arena: &Arena) -> Self {
+        let (k, n) = (c.k(), c.n());
+        assert_eq!(c.domain(), Domain::Coefficient, "decomposition domain");
+        let mut digits = arena.take32(k * k * n);
+        let mut scratch = arena.take_poly(k, n, Domain::Coefficient);
+        for i in 0..k {
+            ctx.spread_digit_into(c.row(i), scratch.flat_mut());
+            for (j, row) in scratch.flat_mut().chunks_mut(n).enumerate() {
+                ctx.ntt_q()[j].forward(row);
+            }
+            for (x, &v) in scratch.flat().iter().enumerate() {
+                digits[x * k + i] = v as u32;
+            }
+        }
+        arena.recycle(scratch);
+        Digits(digits)
+    }
+
+    /// Returns the digit buffer to `arena`.
+    pub(crate) fn recycle(self, arena: &Arena) {
+        arena.put32(self.0);
+    }
+
+    /// Accumulates one switch's inner product into the NTT-domain
+    /// accumulators, with the automorphism permutation fused in as a
+    /// gather on the digit side:
+    ///
+    /// `acc_b[j][t] += Σ_i D_i[j][π(t)] · ksk_b[i][j][t]  (mod q_j)`
+    ///
+    /// When `c0_ntt` is given, `c0[j][π(t)]` is seeded into the same sum,
+    /// so a rotation's whole `acc0` contribution costs one extra gather.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key's shape differs from the digits'.
+    pub(crate) fn sop_acc(
+        &self,
+        ctx: &FvContext,
+        key: &KeySwitchKey,
+        perm: &GaloisPermutation,
+        c0_ntt: Option<&RnsPoly>,
+        acc0: &mut RnsPoly,
+        acc1: &mut RnsPoly,
+    ) {
+        let (k, n) = (key.k, key.n);
+        assert_eq!(self.0.len(), k * k * n, "key shape mismatch");
+        let kernels = hefv_math::dispatch::kernels();
+        for j in 0..k {
+            let lines = j * n * k..(j + 1) * n * k;
+            kernels.sop_narrow_row(
+                ctx.base_q().modulus(j),
+                perm.table(),
+                &self.0[lines.clone()],
+                &key.tables[0][lines.clone()],
+                &key.tables[1][lines],
+                c0_ntt.map(|c0| c0.row(j)),
+                acc0.row_mut(j),
+                acc1.row_mut(j),
+            );
+        }
+    }
+
+    /// One complete switch off these digits: both halves of
+    /// `Σ_i π(D_i)·ksk_i`, returned in the coefficient domain in buffers
+    /// drawn from `arena`.
+    pub(crate) fn switch_in(
+        &self,
+        ctx: &FvContext,
+        key: &KeySwitchKey,
+        perm: &GaloisPermutation,
+        arena: &Arena,
+    ) -> (RnsPoly, RnsPoly) {
+        let (k, n) = (key.k, key.n);
+        let mut acc0 = arena.take_poly_zeroed(k, n, Domain::Ntt);
+        let mut acc1 = arena.take_poly_zeroed(k, n, Domain::Ntt);
+        self.sop_acc(ctx, key, perm, None, &mut acc0, &mut acc1);
+        acc0.ntt_inverse(ctx.ntt_q());
+        acc1.ntt_inverse(ctx.ntt_q());
+        (acc0, acc1)
+    }
+}

@@ -36,6 +36,7 @@ pub mod error;
 pub mod eval;
 pub mod galois;
 pub mod keys;
+mod keyswitch;
 pub mod noise;
 pub mod parallel;
 pub mod params;

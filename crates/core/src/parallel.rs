@@ -3,9 +3,10 @@
 //! The paper's §VI-E compares against Badawi et al.'s multi-threaded CPU
 //! implementation (26 threads ⇒ 2.5× over single-threaded). This module
 //! provides the same axis for our software backend: the four lifts, the
-//! per-residue transforms, the three tensor/scale pipelines and the relin
-//! digits are all independent — exactly the parallelism the paper's RPAUs
-//! exploit in hardware.
+//! per-residue transforms and the three tensor/scale pipelines are all
+//! independent — exactly the parallelism the paper's RPAUs exploit in
+//! hardware. Relinearization is not fanned out: it runs the single
+//! key-switch routine, [`eval::relinearize`], on the caller's thread.
 //!
 //! Fan-out is *budgeted*: every entry point has a `_with_budget` variant
 //! taking the maximum number of OS threads the call may occupy, and the
@@ -18,7 +19,6 @@ use crate::context::FvContext;
 use crate::encrypt::Ciphertext;
 use crate::eval::{self, Backend, TensorResult};
 use crate::keys::RelinKey;
-use crate::rnspoly::{Domain, RnsPoly};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -217,7 +217,7 @@ pub fn mul_threaded_with_budget(
     budget: usize,
 ) -> Ciphertext {
     let t = tensor_threaded_with_budget(ctx, a, b, backend, budget);
-    relinearize_threaded_with_budget(ctx, &t, rlk, budget)
+    eval::relinearize(ctx, &t, rlk)
 }
 
 /// Full multi-threaded `Mult` with the machine-wide thread budget.
@@ -229,49 +229,6 @@ pub fn mul_threaded(
     backend: Backend,
 ) -> Ciphertext {
     mul_threaded_with_budget(ctx, a, b, rlk, backend, machine_budget())
-}
-
-/// Relinearization with per-digit parallelism under an explicit budget:
-/// each digit's spread + NTT + two pointwise products is one task; the
-/// partial products are reduced pairwise at the end.
-pub fn relinearize_threaded_with_budget(
-    ctx: &FvContext,
-    t: &TensorResult,
-    rlk: &RelinKey,
-    budget: usize,
-) -> Ciphertext {
-    let basis = ctx.base_q();
-    let k = ctx.params().k();
-    assert_eq!(rlk.digits(), k, "relin key digit count mismatch");
-
-    let inner = (budget / k).max(1);
-    let partials = fan_out_indexed(k, budget, |i| {
-        let spread = ctx.spread_digit(t.d2.row(i));
-        let mut digit = RnsPoly::from_flat(spread, k, Domain::Coefficient);
-        digit.ntt_forward_with_budget(ctx.ntt_q(), inner);
-        (
-            digit.pointwise_mul_with_budget(rlk.rlk0(i), basis, inner),
-            digit.pointwise_mul_with_budget(rlk.rlk1(i), basis, inner),
-        )
-    });
-
-    let mut iter = partials.into_iter();
-    let (mut acc0, mut acc1) = iter.next().expect("at least one digit");
-    for (p0, p1) in iter {
-        acc0 = acc0.add(&p0, basis);
-        acc1 = acc1.add(&p1, basis);
-    }
-    acc0.ntt_inverse(ctx.ntt_q());
-    acc1.ntt_inverse(ctx.ntt_q());
-    Ciphertext {
-        c0: t.d0.add(&acc0, basis),
-        c1: t.d1.add(&acc1, basis),
-    }
-}
-
-/// Relinearization with the machine-wide thread budget.
-pub fn relinearize_threaded(ctx: &FvContext, t: &TensorResult, rlk: &RelinKey) -> Ciphertext {
-    relinearize_threaded_with_budget(ctx, t, rlk, machine_budget())
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@
 use crate::context::FvContext;
 use crate::encrypt::Ciphertext;
 use crate::error::Error;
+use crate::keyswitch::{KeySwitchKey, WireOrder};
 use crate::rnspoly::{Domain, RnsPoly};
 
 /// Magic tag guarding the header.
@@ -106,7 +107,9 @@ pub fn decode_ciphertext(ctx: &FvContext, bytes: &[u8]) -> Result<Ciphertext, Er
 // Ciphertexts cross the interface in the paper's 4-byte coefficient-domain
 // DMA layout above. Key material does not fit that mold: every key the
 // evaluator holds (public, relinearization, Galois) lives permanently in
-// the NTT domain, and its lanes are full `u64` residues. The codecs below
+// the NTT domain, and the codecs carry every residue as a full
+// little-endian `u64` (8 bytes per coefficient), whatever width the
+// evaluator stores it at (switching keys are 32-bit tables). The codecs below
 // exist for the cluster tier — a router streams a tenant's keys to the
 // node that owns (or newly owns) that tenant — so they use their own
 // magic, keep the NTT domain explicit, and re-validate every coefficient
@@ -128,14 +131,20 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Streams one NTT-domain polynomial: `domain u8 | k·n × u64` (the shape
-/// is carried once in the enclosing header).
+/// Streams one key polynomial: `domain u8 | k·n × u64` (the shape is
+/// carried once in the enclosing header).
 fn put_key_poly(out: &mut Vec<u8>, p: &RnsPoly) {
-    out.push(match p.domain() {
+    put_key_coeffs(out, p.domain(), p.flat().iter().copied());
+}
+
+/// [`put_key_poly`] over residue-major coefficients from any source (the
+/// switching keys stream straight from their 32-bit tables).
+pub(crate) fn put_key_coeffs(out: &mut Vec<u8>, domain: Domain, coeffs: impl Iterator<Item = u64>) {
+    out.push(match domain {
         Domain::Coefficient => 0,
         Domain::Ntt => 1,
     });
-    for &c in p.flat() {
+    for c in coeffs {
         out.extend_from_slice(&c.to_le_bytes());
     }
 }
@@ -231,17 +240,17 @@ fn read_key_header(ctx: &FvContext, cur: &mut Cursor<'_>, want_tag: u8) -> Resul
     Ok(())
 }
 
-fn put_key_header(out: &mut Vec<u8>, tag: u8, p: &RnsPoly) {
+fn put_key_header(out: &mut Vec<u8>, tag: u8, k: usize, n: usize) {
     put_u32(out, KEY_MAGIC);
     out.push(tag);
-    put_u32(out, p.k() as u32);
-    put_u32(out, p.n() as u32);
+    put_u32(out, k as u32);
+    put_u32(out, n as u32);
 }
 
 /// Serializes a public key (`p0`, `p1`, both NTT-domain).
 pub fn encode_public_key(pk: &crate::keys::PublicKey) -> Vec<u8> {
     let mut out = Vec::new();
-    put_key_header(&mut out, TAG_PUBLIC, pk.p0_ntt());
+    put_key_header(&mut out, TAG_PUBLIC, pk.p0_ntt().k(), pk.p0_ntt().n());
     put_key_poly(&mut out, pk.p0_ntt());
     put_key_poly(&mut out, pk.p1_ntt());
     out
@@ -265,12 +274,10 @@ pub fn decode_public_key(ctx: &FvContext, bytes: &[u8]) -> Result<crate::keys::P
 /// Serializes a relinearization key (digit pairs, NTT-domain).
 pub fn encode_relin_key(rlk: &crate::keys::RelinKey) -> Vec<u8> {
     let mut out = Vec::new();
-    put_key_header(&mut out, TAG_RELIN, rlk.rlk0(0));
-    put_u16(&mut out, rlk.digits() as u16);
-    for i in 0..rlk.digits() {
-        put_key_poly(&mut out, rlk.rlk0(i));
-        put_key_poly(&mut out, rlk.rlk1(i));
-    }
+    let (k, n) = rlk.key.shape();
+    put_key_header(&mut out, TAG_RELIN, k, n);
+    put_u16(&mut out, k as u16);
+    rlk.key.encode(WireOrder::Pairs, &mut out);
     out
 }
 
@@ -290,30 +297,23 @@ pub fn decode_relin_key(ctx: &FvContext, bytes: &[u8]) -> Result<crate::keys::Re
             ctx.params().k()
         )));
     }
-    let mut rlk0 = Vec::with_capacity(digits);
-    let mut rlk1 = Vec::with_capacity(digits);
-    for _ in 0..digits {
-        rlk0.push(read_key_poly(ctx, &mut cur)?);
-        rlk1.push(read_key_poly(ctx, &mut cur)?);
-    }
+    let key = KeySwitchKey::decode(ctx, WireOrder::Pairs, || read_key_poly(ctx, &mut cur))?;
     cur.finish()?;
-    Ok(crate::keys::RelinKey { rlk0, rlk1 })
+    Ok(crate::keys::RelinKey { key })
 }
 
-/// Serializes a Galois key set: every switching key's digit pairs plus the
-/// chain/group index structure the slot-sum fold walks. The narrow 32-bit
-/// key shadows are *not* shipped — the receiver rebuilds them, so a key
-/// set decoded on a node takes the same SoP fast path as a local one.
+/// Serializes a Galois key set: every switching key's digit polynomials
+/// (all `ksk0`, then all `ksk1`) plus the chain/group index structure the
+/// slot-sum fold walks.
 pub fn encode_galois_key_set(gks: &crate::galois::GaloisKeySet) -> Vec<u8> {
     let mut out = Vec::new();
     let first = gks.keys().first().expect("key set is never empty");
-    put_key_header(&mut out, TAG_GALOIS_SET, first.ksk0(0));
+    let (k, n) = first.key.shape();
+    put_key_header(&mut out, TAG_GALOIS_SET, k, n);
     put_u16(&mut out, gks.keys().len() as u16);
     for key in gks.keys() {
         put_u32(&mut out, key.g as u32);
-        for p in key.ksk0_polys().iter().chain(key.ksk1_polys()) {
-            put_key_poly(&mut out, p);
-        }
+        key.key.encode(WireOrder::Halves, &mut out);
     }
     put_u16(&mut out, gks.chain().len() as u16);
     for &i in gks.chain() {
@@ -329,7 +329,7 @@ pub fn encode_galois_key_set(gks: &crate::galois::GaloisKeySet) -> Vec<u8> {
     out
 }
 
-/// Deserializes a Galois key set, rebuilding each key's narrow shadows.
+/// Deserializes a Galois key set.
 ///
 /// # Errors
 ///
@@ -341,20 +341,12 @@ pub fn decode_galois_key_set(
 ) -> Result<crate::galois::GaloisKeySet, Error> {
     let mut cur = Cursor { bytes, off: 0 };
     read_key_header(ctx, &mut cur, TAG_GALOIS_SET)?;
-    let k = ctx.params().k();
     let n_keys = cur.u16()? as usize;
     let mut keys = Vec::with_capacity(n_keys);
     for _ in 0..n_keys {
         let g = cur.u32()? as usize;
-        let mut ksk0 = Vec::with_capacity(k);
-        let mut ksk1 = Vec::with_capacity(k);
-        for _ in 0..k {
-            ksk0.push(read_key_poly(ctx, &mut cur)?);
-        }
-        for _ in 0..k {
-            ksk1.push(read_key_poly(ctx, &mut cur)?);
-        }
-        keys.push(crate::galois::GaloisKey::from_parts(ctx, g, ksk0, ksk1)?);
+        let key = KeySwitchKey::decode(ctx, WireOrder::Halves, || read_key_poly(ctx, &mut cur))?;
+        keys.push(crate::galois::GaloisKey::from_key(ctx, g, key)?);
     }
     let chain_len = cur.u16()? as usize;
     let mut chain = Vec::with_capacity(chain_len);
@@ -484,7 +476,7 @@ mod tests {
         assert_eq!(back.groups(), gks.groups());
 
         // The decoded set must drive the hoisted fold end to end — this
-        // exercises the rebuilt narrow shadows, not just the digit bytes.
+        // exercises the rebuilt 32-bit key tables, not just the digit bytes.
         let t = ctx.params().t;
         let n = ctx.params().n;
         let slots: Vec<u64> = (0..n as u64).map(|i| i % 5).collect();

@@ -79,8 +79,8 @@ proptest! {
     /// digit counts 1..7 — a hoisted rotation is **bit-identical** to
     /// `apply_galois`, and both match an independently evaluated
     /// decompose → NTT-permute → pointwise-SoP oracle. At 31-bit primes
-    /// with k ≥ 4 the dot exceeds `u64`, so the draws cover both the
-    /// narrow u64-accumulating SoP fast path and the wide u128 fallback.
+    /// with k ≥ 4 the dot exceeds `u64`, so the draws cover SoPs that run
+    /// whole and SoPs that take partial folds.
     #[test]
     fn hoisted_rotation_bit_identical_to_apply_galois(
         bits in 30u32..32,
@@ -136,8 +136,8 @@ proptest! {
             );
             digit.ntt_forward(ctx.ntt_q());
             let permuted = apply_automorphism_ntt(&ctx, &digit, g);
-            acc0.pointwise_mul_acc(&permuted, key.ksk0(i), basis);
-            acc1.pointwise_mul_acc(&permuted, key.ksk1(i), basis);
+            acc0.pointwise_mul_acc(&permuted, &key.ksk0(i), basis);
+            acc1.pointwise_mul_acc(&permuted, &key.ksk1(i), basis);
         }
         acc0.ntt_inverse(ctx.ntt_q());
         acc1.ntt_inverse(ctx.ntt_q());

@@ -37,11 +37,12 @@ pub struct EngineConfig {
     pub workers: usize,
     /// OS threads one job may fan out over (0 = machine budget / workers).
     /// Only `Mul` uses this budget, through
-    /// [`parallel::mul_threaded_with_budget`]; every other op runs on the
-    /// worker's own thread. That threaded path allocates its own buffers
-    /// instead of drawing them from the worker's scratch arena, so the
-    /// engine's zero-steady-state-allocation guarantee holds only when
-    /// the budget resolves to 1 thread.
+    /// [`parallel::mul_threaded_with_budget`], which fans out the lifts,
+    /// transforms, tensor products and scales; its relinearization, like
+    /// every other op, runs on the worker's own thread. That threaded
+    /// path allocates its own buffers instead of drawing them from the
+    /// worker's scratch arena, so the engine's zero-steady-state-allocation
+    /// guarantee holds only when the budget resolves to 1 thread.
     pub threads_per_job: usize,
     /// Key-registry capacity in tenants.
     pub registry_capacity: usize,

@@ -15,9 +15,10 @@
 //!    implementations in the crate-private `simd` module when the CPU
 //!    has them.
 //!
-//! The scalar NTT, pointwise and SoP implementations are the pre-existing
+//! The scalar NTT and pointwise implementations are the pre-existing
 //! portable code, kept verbatim ([`NttTable::forward_scalar`] and
-//! friends); every vector kernel is **bit-identical** to its scalar
+//! friends), and the scalar SoP is the narrow-layout reference; every
+//! vector kernel is **bit-identical** to its scalar
 //! counterpart because all dispatched kernels end with an exact reduction
 //! to the canonical `[0, q)` representative (see the `simd` module source
 //! for the lane-range argument, and `tests/simd_equivalence.rs` for the
@@ -75,8 +76,17 @@ pub struct Kernels {
     pointwise_mul_assign: fn(&Modulus, &mut [u64], &[u64]),
     pointwise_mul_acc: fn(&Modulus, &[u64], &[u64], &mut [u64]),
     #[allow(clippy::type_complexity)]
-    sop_narrow_row:
-        fn(&Modulus, &[u32], &[u32], &[u32], &[u32], Option<&[u64]>, &mut [u64], &mut [u64]),
+    sop_narrow_row: fn(
+        &Modulus,
+        &[u32],
+        &[u32],
+        &[u32],
+        &[u32],
+        Option<&[u64]>,
+        &mut [u64],
+        &mut [u64],
+        Range<usize>,
+    ),
     hps_premultiply: fn(&HpsConv, &[u64], usize, usize, &mut [u32]),
     hps_quotient: fn(&HpsConv, &[u32], HpsPrecision, &mut [u64]),
     hps_sop: fn(&HpsConv, &[u32], &[u64], &mut [u64], usize),
@@ -180,15 +190,19 @@ impl Kernels {
     /// acc0[t] += s0 mod q;    acc1[t] += s1 mod q
     /// ```
     ///
-    /// The caller guarantees the no-overflow precondition of the narrow
-    /// layout (`(k(q−1)+1)(q−1) < 2^64`, see `narrow_sop_ok` in
-    /// `hefv-core`), which also makes the summation order immaterial —
-    /// lane-partial sums reduce to the identical value.
+    /// Every operand is a canonical residue in `[0, q)`. The products of
+    /// one slot accumulate in a `u64`, in chunks of at most
+    /// `T = ⌊(2^64 − q)/(q−1)²⌋` digits that are each reduced into the
+    /// accumulators (`T ≥ 15` for 30-bit primes, so the paper's k = 6 is
+    /// one chunk; 3 for 31-bit ones). No sum can wrap for any `q ≤ 2^32`
+    /// and any `k`, and with exact sums the summation order is
+    /// immaterial: lane-partial sums reduce to the identical value.
     ///
     /// # Panics
     ///
-    /// Panics if slice lengths are inconsistent with `n = perm.len()`
-    /// and `k = digits.len() / n`.
+    /// Panics if `q > 2^32`, if a `perm` entry is `≥ n`, or if slice
+    /// lengths are inconsistent with `n = perm.len()` and
+    /// `k = digits.len() / n`.
     #[allow(clippy::too_many_arguments)]
     pub fn sop_narrow_row(
         &self,
@@ -202,6 +216,7 @@ impl Kernels {
         acc1: &mut [u64],
     ) {
         let n = perm.len();
+        assert!(m.value() <= 1 << 32, "SoP modulus must fit 32 bits");
         assert!(
             n > 0 && digits.len().is_multiple_of(n),
             "digit layout mismatch"
@@ -215,7 +230,16 @@ impl Kernels {
         if let Some(row) = c0_row {
             assert_eq!(row.len(), n, "c0 row length mismatch");
         }
-        (self.sop_narrow_row)(m, perm, digits, ksk0, ksk1, c0_row, acc0, acc1)
+        // One lane pass per chunk of `T` digits, the most `(q−1)²` products
+        // a `u64` holds beside a seed below `q`: each pass reduces its sums
+        // into the accumulators, and only the first takes the seed.
+        let qm1 = m.value() - 1;
+        let fold = ((u64::MAX - qm1) / (qm1 * qm1).max(1)) as usize;
+        for lo in (0..k).step_by(fold) {
+            let seed = if lo == 0 { c0_row } else { None };
+            let chunk = lo..(lo + fold).min(k);
+            (self.sop_narrow_row)(m, perm, digits, ksk0, ksk1, seed, acc0, acc1, chunk);
+        }
     }
 
     /// HPS `Lift` of a column range of a flat polynomial on this table's
@@ -346,14 +370,16 @@ fn sop_narrow_row_scalar(
     c0_row: Option<&[u64]>,
     acc0: &mut [u64],
     acc1: &mut [u64],
+    chunk: Range<usize>,
 ) {
     let n = perm.len();
     let k = digits.len() / n;
+    let (lo, hi) = (chunk.start, chunk.end);
     for t in 0..n {
         let p = perm[t] as usize;
-        let dl = &digits[p * k..p * k + k];
-        let w0 = &ksk0[t * k..t * k + k];
-        let w1 = &ksk1[t * k..t * k + k];
+        let dl = &digits[p * k + lo..p * k + hi];
+        let w0 = &ksk0[t * k + lo..t * k + hi];
+        let w1 = &ksk1[t * k + lo..t * k + hi];
         let mut s0 = match c0_row {
             Some(row) => row[p],
             None => 0,
@@ -476,12 +502,12 @@ mod avx2 {
         c0_row: Option<&[u64]>,
         acc0: &mut [u64],
         acc1: &mut [u64],
+        chunk: Range<usize>,
     ) {
-        let k = digits.len() / perm.len();
-        if k >= 4 {
-            unsafe { simd::sop_narrow_row(m, perm, digits, ksk0, ksk1, c0_row, acc0, acc1) }
+        if chunk.len() >= 4 {
+            unsafe { simd::sop_narrow_row(m, perm, digits, ksk0, ksk1, c0_row, acc0, acc1, chunk) }
         } else {
-            super::sop_narrow_row_scalar(m, perm, digits, ksk0, ksk1, c0_row, acc0, acc1)
+            super::sop_narrow_row_scalar(m, perm, digits, ksk0, ksk1, c0_row, acc0, acc1, chunk)
         }
     }
 

@@ -716,8 +716,20 @@ impl RnsContext {
     ///
     /// # Errors
     ///
-    /// Returns an error if any basis is invalid or the primes overlap.
+    /// Returns an error if any basis is invalid, the primes overlap, or a
+    /// prime lies outside `[2^29, 2^31)`, the 30/31-bit range the HPS
+    /// reciprocals ([`SmallReciprocal`]) and the 32-bit key-switch lanes
+    /// are built for.
     pub fn new(q_primes: &[u64], p_primes: &[u64]) -> Result<Self, String> {
+        if let Some(&p) = q_primes
+            .iter()
+            .chain(p_primes)
+            .find(|&&p| !((1 << 29)..(1 << 31)).contains(&p))
+        {
+            return Err(format!(
+                "modulus {p} is outside the 30/31-bit range [2^29, 2^31)"
+            ));
+        }
         let base_q = RnsBasis::new(q_primes)?;
         let base_p = RnsBasis::new(p_primes)?;
         let all: Vec<u64> = q_primes.iter().chain(p_primes).copied().collect();

@@ -51,6 +51,7 @@ use crate::ntt::NttTable;
 use crate::rns::{HpsConv, HpsPrecision, FRAC_LIMB_BITS, HPS_BLOCK};
 use crate::zq::{Modulus, ShoupMul};
 use core::arch::x86_64::*;
+use std::ops::Range;
 
 /// Moduli below this bound use the narrow (32-bit-operand) NTT kernels:
 /// `q < 2^30` keeps the relaxed range `[0, 4q)` inside 32 bits.
@@ -686,12 +687,20 @@ pub(crate) unsafe fn pointwise_mul_acc_narrow(m: &Modulus, a: &[u64], b: &[u64],
 // Hoisted key-switch sum-of-products (narrow layout)
 // ---------------------------------------------------------------------------
 
-/// One residue row of the narrow SoP: for each slot `t`, accumulate
-/// `Σ_i digits[π(t)·k + i] · ksk{0,1}[t·k + i]` (plus the optional hoisted
-/// `c0` seed on the first accumulator), reduce once, and fold into
-/// `acc0`/`acc1`. The digit lanes ride 4-wide in `u64` lanes via
-/// `pmuludq`; the caller guarantees no-overflow (`narrow_sop_ok`), so any
-/// summation order — including lane partials — yields the same exact sum.
+/// One digit chunk of one residue row of the narrow SoP: for each slot
+/// `t`, accumulate `Σ_{i∈chunk} digits[π(t)·k + i] · ksk{0,1}[t·k + i]`
+/// (plus the optional hoisted `c0` seed on the first accumulator), reduce
+/// once, and fold into `acc0`/`acc1`. The digit lanes ride 4-wide in `u64`
+/// lanes via `pmuludq`; the dispatcher sizes the chunk so its whole sum
+/// cannot wrap, so any summation order — including lane partials — yields
+/// the same exact sum as the scalar lane.
+///
+/// # Safety
+///
+/// The CPU supports AVX2, `chunk` lies in `0..k`, and the slices have the
+/// shapes `Kernels::sop_narrow_row` asserts: `digits`, `ksk0` and `ksk1`
+/// hold `n·k` entries for `n = perm.len()`. (The `perm` entries, which
+/// the gathers below read through raw pointers, are checked here.)
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn sop_narrow_row(
@@ -703,10 +712,23 @@ pub(crate) unsafe fn sop_narrow_row(
     c0_row: Option<&[u64]>,
     acc0: &mut [u64],
     acc1: &mut [u64],
+    chunk: Range<usize>,
 ) {
     let n = perm.len();
     let k = digits.len() / n;
-    debug_assert!(k >= 4);
+    let mut top = _mm256_setzero_si256();
+    let mut entries = perm.chunks_exact(8);
+    for c in &mut entries {
+        top = _mm256_max_epu32(top, _mm256_loadu_si256(c.as_ptr() as *const __m256i));
+    }
+    let mut lanes = [0u32; 8];
+    _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, top);
+    let max = lanes
+        .iter()
+        .chain(entries.remainder())
+        .fold(0, |a, &p| a.max(p));
+    assert!((max as usize) < n, "permutation entry out of range");
+    let (lo, hi) = (chunk.start, chunk.end);
     for t in 0..n {
         let p = perm[t] as usize;
         let dl = digits.as_ptr().add(p * k);
@@ -714,8 +736,8 @@ pub(crate) unsafe fn sop_narrow_row(
         let x1 = ksk1.as_ptr().add(t * k);
         let mut v0 = _mm256_setzero_si256();
         let mut v1 = _mm256_setzero_si256();
-        let mut i = 0usize;
-        while i + 4 <= k {
+        let mut i = lo;
+        while i + 4 <= hi {
             let d = _mm256_cvtepu32_epi64(_mm_loadu_si128(dl.add(i) as *const __m128i));
             let w0 = _mm256_cvtepu32_epi64(_mm_loadu_si128(x0.add(i) as *const __m128i));
             let w1 = _mm256_cvtepu32_epi64(_mm_loadu_si128(x1.add(i) as *const __m128i));
@@ -723,7 +745,7 @@ pub(crate) unsafe fn sop_narrow_row(
             v1 = _mm256_add_epi64(v1, _mm256_mul_epu32(d, w1));
             i += 4;
         }
-        if i + 2 <= k {
+        if i + 2 <= hi {
             // Two-digit tail (the paper's k = 6 lands here): a 64-bit
             // partial load leaves the upper lanes zero, which contribute
             // nothing to the lane sums.
@@ -742,7 +764,7 @@ pub(crate) unsafe fn sop_narrow_row(
         let (h0, h1) = hsum_pair(v0, v1);
         s0 = s0.wrapping_add(h0);
         s1 = s1.wrapping_add(h1);
-        while i < k {
+        while i < hi {
             let d = *dl.add(i) as u64;
             s0 = s0.wrapping_add(d * *x0.add(i) as u64);
             s1 = s1.wrapping_add(d * *x1.add(i) as u64);

@@ -16,6 +16,11 @@
 //! Harvey lazy range `[0, 4q)` for the forward transform and `[0, 2q)`
 //! for the inverse.
 //!
+//! The key-switch sum of products is pinned on both lanes against an
+//! exact `u128` oracle, for 30-, 31- and 32-bit moduli and up to 24
+//! digits, so every digit-chunk boundary is crossed, with and without
+//! the `c0` seed.
+//!
 //! The HPS basis conversions (`Lift` and `Scale`) are pinned the same way
 //! and, in addition, against the per-coefficient `u128` oracles
 //! `Extender::extend_hps` / `ScaleContext::scale_hps` on every column,
@@ -239,15 +244,15 @@ proptest! {
     #[test]
     fn sop_bit_identical_across_digit_counts(
         log_n in 2u32..=8,
-        k in 1usize..=9,
+        bits in 30u32..=32,
+        k in 1usize..=24,
         with_seed in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        let Some((scalar, avx2)) = both_tables() else { return Ok(()); };
         let n = 1usize << log_n;
-        // A 30-bit prime keeps k·(q−1)² + (q−1) < 2^64 for k ≤ 9 — the
-        // same no-overflow precondition `narrow_sop_ok` enforces upstream.
-        let q = ntt_prime(30, n, 0).unwrap();
+        // 30-bit primes take digit chunks of 15, 31-bit of 3 and 32-bit of
+        // 1, so k up to 24 crosses every chunk boundary.
+        let q = ntt_prime(bits, n, 0).unwrap();
         let m = Modulus::new(q);
         let digits: Vec<u32> = fill(seed, n * k, q).iter().map(|&v| v as u32).collect();
         let ksk0: Vec<u32> = fill(seed ^ 0xF00D, n * k, q).iter().map(|&v| v as u32).collect();
@@ -260,11 +265,97 @@ proptest! {
         let acc_init1 = fill(seed ^ 0xA1, n, q);
 
         let (mut s0, mut s1) = (acc_init0.clone(), acc_init1.clone());
+        let scalar = dispatch::scalar_kernels();
         scalar.sop_narrow_row(&m, &perm, &digits, &ksk0, &ksk1, c0_row, &mut s0, &mut s1);
+        let (w0, w1) = sop_oracle(q, &perm, &digits, &ksk0, &ksk1, c0_row, &acc_init0, &acc_init1);
+        prop_assert_eq!(&s0, &w0, "scalar sop acc0 q={} n={} k={}", q, n, k);
+        prop_assert_eq!(&s1, &w1, "scalar sop acc1 q={} n={} k={}", q, n, k);
+        let Some((_, avx2)) = both_tables() else { return Ok(()); };
         let (mut v0, mut v1) = (acc_init0, acc_init1);
         avx2.sop_narrow_row(&m, &perm, &digits, &ksk0, &ksk1, c0_row, &mut v0, &mut v1);
-        prop_assert_eq!(&s0, &v0, "sop acc0 n={} k={}", n, k);
-        prop_assert_eq!(&s1, &v1, "sop acc1 n={} k={}", n, k);
+        prop_assert_eq!(&s0, &v0, "sop acc0 q={} n={} k={}", q, n, k);
+        prop_assert_eq!(&s1, &v1, "sop acc1 q={} n={} k={}", q, n, k);
+    }
+}
+
+/// The SoP row in exact `u128` arithmetic, one reduction per slot.
+#[allow(clippy::too_many_arguments)]
+fn sop_oracle(
+    q: u64,
+    perm: &[u32],
+    digits: &[u32],
+    ksk0: &[u32],
+    ksk1: &[u32],
+    c0_row: Option<&[u64]>,
+    acc0: &[u64],
+    acc1: &[u64],
+) -> (Vec<u64>, Vec<u64>) {
+    let n = perm.len();
+    let k = digits.len() / n;
+    let q = q as u128;
+    let (mut out0, mut out1) = (acc0.to_vec(), acc1.to_vec());
+    for t in 0..n {
+        let p = perm[t] as usize;
+        let mut s0 = c0_row.map_or(0, |row| row[p] as u128);
+        let mut s1 = 0u128;
+        for i in 0..k {
+            let d = digits[p * k + i] as u128;
+            s0 += d * ksk0[t * k + i] as u128;
+            s1 += d * ksk1[t * k + i] as u128;
+        }
+        out0[t] = ((out0[t] as u128 + s0) % q) as u64;
+        out1[t] = ((out1[t] as u128 + s1) % q) as u64;
+    }
+    (out0, out1)
+}
+
+/// The SoP's worst case: every digit, key word, seed and accumulator at
+/// `q − 1`, for 30-, 31- and 32-bit primes and up to 24 digits. Without
+/// the digit chunks every one of these sums past 15 products (past 3 at
+/// 31 bits) would wrap `u64`.
+#[test]
+fn sop_extremes_at_every_width() {
+    let n = 16usize;
+    let perm: Vec<u32> = (0..n as u32).collect();
+    for bits in [30u32, 31, 32] {
+        let q = ntt_prime(bits, n, 0).unwrap();
+        let m = Modulus::new(q);
+        for k in [1usize, 3, 4, 6, 15, 16, 20, 24] {
+            let max = vec![(q - 1) as u32; n * k];
+            let seed = vec![q - 1; n];
+            let acc = vec![q - 1; n];
+            let (w0, w1) = sop_oracle(q, &perm, &max, &max, &max, Some(&seed), &acc, &acc);
+            let mut lanes = vec![dispatch::scalar_kernels()];
+            lanes.extend(dispatch::avx2_kernels());
+            for kernels in lanes {
+                let (mut a0, mut a1) = (acc.clone(), acc.clone());
+                kernels.sop_narrow_row(&m, &perm, &max, &max, &max, Some(&seed), &mut a0, &mut a1);
+                let lane = kernels.backend().name();
+                assert_eq!(a0, w0, "{lane} acc0 bits={bits} k={k}");
+                assert_eq!(a1, w1, "{lane} acc1 bits={bits} k={k}");
+            }
+        }
+    }
+}
+
+/// A permutation entry past the row is caller error: both lanes panic
+/// instead of reading past the digit table.
+#[test]
+fn sop_rejects_out_of_range_permutation() {
+    let (n, k) = (16usize, 6usize);
+    let q = ntt_prime(30, n, 0).unwrap();
+    let m = Modulus::new(q);
+    let lines = vec![1u32; n * k];
+    let mut perm: Vec<u32> = (0..n as u32).collect();
+    perm[9] = n as u32;
+    let mut lanes = vec![dispatch::scalar_kernels()];
+    lanes.extend(dispatch::avx2_kernels());
+    for kernels in lanes {
+        let caught = std::panic::catch_unwind(|| {
+            let (mut a0, mut a1) = (vec![0u64; n], vec![0u64; n]);
+            kernels.sop_narrow_row(&m, &perm, &lines, &lines, &lines, None, &mut a0, &mut a1);
+        });
+        assert!(caught.is_err(), "{} lane", kernels.backend().name());
     }
 }
 

@@ -193,10 +193,11 @@ impl<'a> FunctionalCoprocessor<'a> {
             let mut digit_mems: Vec<PolyMem> = spread.chunks(n).map(PolyMem::load).collect();
             trace.coeffwise += 2 * batches_q * (n as u64 / 2);
             self.transform_rows(&mut digit_mems, &mut trace);
+            let (rlk0, rlk1) = (rlk.rlk0(digit), rlk.rlk1(digit));
             for i in 0..k {
                 let lane = self.lanes.lane(i);
-                let r0 = PolyMem::load(rlk.rlk0(digit).row(i));
-                let r1 = PolyMem::load(rlk.rlk1(digit).row(i));
+                let r0 = PolyMem::load(rlk0.row(i));
+                let r1 = PolyMem::load(rlk1.row(i));
                 lane.cwm_acc(&mut acc0[i], &digit_mems[i], &r0);
                 lane.cwm_acc(&mut acc1[i], &digit_mems[i], &r1);
             }
