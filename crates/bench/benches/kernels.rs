@@ -1,8 +1,10 @@
 //! Criterion benches of the arithmetic kernels the RTL accelerates: NTT at
 //! several sizes, coefficient-wise ops, and the two modular-reduction
-//! datapaths.
+//! datapaths — plus the CRC-32 integrity checksum every served frame
+//! takes, per kernel lane.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use hefv_math::dispatch;
 use hefv_math::ntt::NttTable;
 use hefv_math::primes::ntt_prime;
 use hefv_math::zq::{Modulus, SlidingWindowTable};
@@ -80,5 +82,25 @@ fn bench_reduction(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_ntt, bench_coeffwise, bench_reduction);
+/// One `mult` request's two n = 4096 ciphertexts on the wire (≈ 393 KB),
+/// on every lane this CPU can run.
+fn bench_crc32(c: &mut Criterion) {
+    let buf: Vec<u8> = (0..393_300u64)
+        .map(|i| ((i * 2_654_435_761) >> 13) as u8)
+        .collect();
+    let mut g = c.benchmark_group("crc32_393KB");
+    g.throughput(Throughput::Bytes(buf.len() as u64));
+    for k in std::iter::once(dispatch::scalar_kernels()).chain(dispatch::avx2_kernels()) {
+        g.bench_function(k.backend().name(), |b| b.iter(|| k.crc32(black_box(&buf))));
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_ntt,
+    bench_coeffwise,
+    bench_reduction,
+    bench_crc32
+);
 criterion_main!(benches);

@@ -1,46 +1,35 @@
 //! CRC32 (IEEE 802.3, reflected) — the integrity checksum guarding the
 //! net envelope trailer and the `HEVR` registry-snapshot format.
 //!
-//! Table-driven over the reflected polynomial `0xEDB88320`, computed at
-//! compile time so there is no runtime init and no dependency. The
-//! polynomial's minimum distance guarantees every single-bit flip (and
+//! [`crc32`] runs on the process-wide kernel table
+//! ([`hefv_math::dispatch::kernels`]), selected once per process like
+//! every other kernel:
+//!
+//! * **AVX2 lane** (the default on a CPU with `avx2` and `pclmulqdq`): a
+//!   carry-less-multiply fold of four 128-bit lanes per 64-byte block,
+//!   folded down to 128 bits and Barrett-reduced to 32 (Gopal et al.,
+//!   Intel 2009); buffers under 64 bytes and the last `len mod 16` bytes
+//!   go through the scalar lane's tables.
+//! * **Scalar lane** (`HEFV_FORCE_SCALAR=1`, `HEFV_KERNEL=scalar`, or a
+//!   CPU without those features): slicing-by-16 over `const`-built
+//!   16×256 tables.
+//!
+//! Both lanes are pinned bit-identical to the byte-at-a-time loop, which
+//! survives only as the test oracle (`crates/math/tests/simd_equivalence.rs`),
+//! and to known answers computed offline with Python's `zlib.crc32`.
+//!
+//! The polynomial's minimum distance guarantees every single-bit flip (and
 //! every burst up to 32 bits) changes the checksum, which is what makes
 //! the corruption-injection tests deterministic rather than
 //! probabilistic: an injected flip is *always* caught.
 
-/// The reflected IEEE polynomial.
-const POLY: u32 = 0xEDB8_8320;
-
-/// Byte-at-a-time lookup table, built in a `const` context.
-const TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ POLY
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
+use hefv_math::dispatch;
 
 /// CRC32 of `bytes` (init `!0`, final xor `!0` — the common "CRC-32"
 /// every zlib/Ethernet implementation computes).
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
+    dispatch::kernels().crc32(bytes)
 }
 
 #[cfg(test)]

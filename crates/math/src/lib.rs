@@ -30,11 +30,13 @@
 //!
 //! [`dispatch::kernels`] resolves once per process, in order: an explicit
 //! `HEFV_KERNEL=scalar|avx2` request, then `HEFV_FORCE_SCALAR`, then
-//! `is_x86_feature_detected!("avx2")`. Backend choice is unobservable
-//! except in speed: every dispatched kernel ends with an exact reduction
-//! to the canonical `[0, q)` representative, and since that representative
-//! is unique, any backend that computes congruent intermediates within its
-//! proven lane ranges produces **bit-identical** output. The AVX2 lanes
+//! `is_x86_feature_detected!` for `avx2` and `pclmulqdq`. Backend choice
+//! is unobservable except in speed: every dispatched kernel ends with an
+//! exact reduction to the canonical `[0, q)` representative, and since
+//! that representative is unique, any backend that computes congruent
+//! intermediates within its proven lane ranges produces **bit-identical**
+//! output (the CRC-32 entry is exact integer arithmetic with one answer,
+//! so the same holds for it). The AVX2 lanes
 //! (in the crate-private `simd` module) come in two widths — a narrow path
 //! for `q < 2^30` whose relaxed `[0, 4q)` values fit 32-bit `pmuludq`
 //! operands (the truncated Shoup constant `⌊w·2^32/q⌋` is just the high

@@ -1,14 +1,15 @@
 //! AVX2 lane implementations of the dispatched kernels: the Harvey NTT
 //! butterflies, pointwise (Hadamard) multiplication, the hoisted
-//! key-switch sum-of-products line, and the three blocks of the HPS
-//! basis conversions (`Lift`/`Scale`).
+//! key-switch sum-of-products line, the three blocks of the HPS basis
+//! conversions (`Lift`/`Scale`), and the `PCLMULQDQ` CRC-32 fold.
 //!
 //! Everything here is selected at runtime by [`crate::dispatch`]; nothing
-//! in this module is reachable unless `is_x86_feature_detected!("avx2")`
-//! returned true (or a test asked for the AVX2 table explicitly on a
-//! machine that has it). All functions are `#[target_feature(enable =
-//! "avx2")]` and therefore `unsafe` to call; the dispatch layer owns the
-//! one safety obligation (the feature is present).
+//! in this module is reachable unless `is_x86_feature_detected!` found
+//! both `avx2` and `pclmulqdq` (or a test asked for the AVX2 table
+//! explicitly on a machine that has them). All functions are
+//! `#[target_feature(enable = "avx2")]` (the CRC fold adds `pclmulqdq`)
+//! and therefore `unsafe` to call; the dispatch layer owns the one safety
+//! obligation (the features are present).
 //!
 //! # Lane-range invariants
 //!
@@ -1036,4 +1037,133 @@ impl SopLane<'_> {
         }
         acc
     }
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32 folding (Gopal et al., "Fast CRC Computation for Generic
+// Polynomials Using PCLMULQDQ Instruction", Intel, 2009).
+// ---------------------------------------------------------------------------
+
+/// The IEEE 802.3 polynomial `P(x)` in the normal (unreflected) domain,
+/// with its `x^32` term.
+const CRC_P: u64 = 0x1_04C1_1DB7;
+
+/// `x^e mod P(x)`, bit-reflected and shifted left by one: the form a
+/// reflected-domain carry-less fold multiplies by.
+const fn crc_fold_constant(e: u32) -> i64 {
+    let mut r = 1u64;
+    let mut i = 0;
+    while i < e {
+        r <<= 1;
+        if r >> 32 != 0 {
+            r ^= CRC_P;
+        }
+        i += 1;
+    }
+    (((r as u32).reverse_bits() as u64) << 1) as i64
+}
+
+/// `⌊x^64 / P(x)⌋`, bit-reflected over its 33 bits: the Barrett constant.
+const fn crc_barrett_mu() -> i64 {
+    let (mut rem, mut quo) = (1u128 << 64, 0u64);
+    let mut bit = 64;
+    while bit >= 32 {
+        if rem >> bit & 1 != 0 {
+            quo |= 1 << (bit - 32);
+            rem ^= (CRC_P as u128) << (bit - 32);
+        }
+        bit -= 1;
+    }
+    (quo.reverse_bits() >> 31) as i64
+}
+
+/// One 128-bit fold: `x` carried forward past `d` bits (`k` holds
+/// `x^(d+32)` low and `x^(d−32)` high, reflected), plus the next block.
+///
+/// # Safety
+///
+/// The CPU must support `avx2` and `pclmulqdq`.
+#[inline]
+#[target_feature(enable = "avx2,pclmulqdq")]
+unsafe fn crc_fold(x: __m128i, k: __m128i, next: __m128i) -> __m128i {
+    let lo = _mm_clmulepi64_si128(x, k, 0x00);
+    let hi = _mm_clmulepi64_si128(x, k, 0x11);
+    _mm_xor_si128(_mm_xor_si128(lo, hi), next)
+}
+
+/// The 16 bytes of `bytes` at `off`, as one unaligned vector.
+///
+/// # Safety
+///
+/// The CPU must support `avx2`.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn crc_load(bytes: &[u8], off: usize) -> __m128i {
+    // SAFETY: the slice index checks that all 16 bytes are in bounds, and
+    // `loadu` has no alignment requirement.
+    _mm_loadu_si128(bytes[off..off + 16].as_ptr().cast())
+}
+
+/// Advances the raw (uninverted) CRC-32 state `crc` over `bytes`, whose
+/// length must be at least 64 and a multiple of 16: four 128-bit lanes
+/// fold across each 64-byte block, fold down to one lane, take any
+/// remaining 16-byte blocks, then reduce 128 → 64 → 32 bits, the last
+/// step by Barrett reduction. Bit-identical to the table lanes.
+///
+/// # Safety
+///
+/// The CPU must support `avx2` and `pclmulqdq`.
+///
+/// # Panics
+///
+/// Panics if `bytes` is shorter than 64 bytes or not whole 16-byte
+/// blocks.
+#[target_feature(enable = "avx2,pclmulqdq")]
+pub(crate) unsafe fn crc32_fold(crc: u32, bytes: &[u8]) -> u32 {
+    const K1K2: (i64, i64) = (
+        crc_fold_constant(4 * 128 + 32),
+        crc_fold_constant(4 * 128 - 32),
+    );
+    const K3K4: (i64, i64) = (crc_fold_constant(128 + 32), crc_fold_constant(128 - 32));
+    const K5: i64 = crc_fold_constant(64);
+    const P_MU: (i64, i64) = ((CRC_P.reverse_bits() >> 31) as i64, crc_barrett_mu());
+    let len = bytes.len();
+    assert!(len >= 64 && len.is_multiple_of(16), "CRC fold block layout");
+
+    let mut lanes = [0, 16, 32, 48].map(|off| crc_load(bytes, off));
+    lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(crc as i32));
+    let k1k2 = _mm_set_epi64x(K1K2.1, K1K2.0);
+    let mut off = 64;
+    while off + 64 <= len {
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            *lane = crc_fold(*lane, k1k2, crc_load(bytes, off + 16 * i));
+        }
+        off += 64;
+    }
+
+    let k3k4 = _mm_set_epi64x(K3K4.1, K3K4.0);
+    let mut x = lanes[0];
+    for &lane in &lanes[1..] {
+        x = crc_fold(x, k3k4, lane);
+    }
+    while off < len {
+        x = crc_fold(x, k3k4, crc_load(bytes, off));
+        off += 16;
+    }
+
+    // 128 → 96 bits: the low quadword times k4, onto the high one.
+    let low32 = _mm_setr_epi32(-1, 0, -1, 0);
+    x = _mm_xor_si128(_mm_srli_si128(x, 8), _mm_clmulepi64_si128(x, k3k4, 0x10));
+    // 96 → 64 bits: the low 32 bits times k5, onto the rest. Then Barrett,
+    // 64 → 32 bits: t = ⌊x·µ⌋ mod x^32, and x ⊕ t·P leaves the CRC in
+    // bits 32..64.
+    let k5 = _mm_set_epi64x(0, K5);
+    x = _mm_xor_si128(
+        _mm_clmulepi64_si128(_mm_and_si128(x, low32), k5, 0x00),
+        _mm_srli_si128(x, 4),
+    );
+    let p_mu = _mm_set_epi64x(P_MU.1, P_MU.0);
+    let t = _mm_clmulepi64_si128(_mm_and_si128(x, low32), p_mu, 0x10);
+    let t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), p_mu, 0x00);
+    _mm_extract_epi32(_mm_xor_si128(x, t), 1) as u32
 }

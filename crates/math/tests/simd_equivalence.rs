@@ -27,6 +27,11 @@
 //! across four bases: the paper's 6 + 7 limbs, a toy 3 + 4, Table V's
 //! 48 + 49 (whose sums of products take partial reductions) and 31-bit
 //! primes (the `SmallReciprocal` ceiling).
+//!
+//! The CRC-32 entry is pinned on both lanes against an in-test
+//! byte-at-a-time oracle — every length up to 4 KiB at random
+//! misalignments, megabyte buffers, constant buffers — and against
+//! known answers computed offline with Python's `zlib.crc32`.
 
 use hefv_math::dispatch::{self, Kernels};
 use hefv_math::ntt::NttTable;
@@ -466,4 +471,105 @@ proptest! {
 fn hps_paper_shape_full_width() {
     let shape = &hps_shapes()[0];
     check_hps_cols(shape, 0xF00D, 0..shape.n).unwrap();
+}
+
+/// Every CRC lane this CPU can run: the scalar table, then AVX2 when
+/// present.
+fn crc_lanes() -> Vec<&'static Kernels> {
+    std::iter::once(dispatch::scalar_kernels())
+        .chain(dispatch::avx2_kernels())
+        .collect()
+}
+
+/// The byte-at-a-time CRC-32 loop (reflected IEEE polynomial, init and
+/// final xor `!0`): the oracle both lanes must match bit for bit.
+fn crc32_oracle(bytes: &[u8]) -> u32 {
+    static TABLE: OnceLock<Vec<u32>> = OnceLock::new();
+    let table = TABLE.get_or_init(|| {
+        (0..256u32)
+            .map(|i| {
+                (0..8).fold(i, |c, _| {
+                    if c & 1 != 0 {
+                        (c >> 1) ^ 0xEDB8_8320
+                    } else {
+                        c >> 1
+                    }
+                })
+            })
+            .collect()
+    });
+    !bytes.iter().fold(!0u32, |crc, &b| {
+        table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8)
+    })
+}
+
+fn check_crc(bytes: &[u8], what: &str) {
+    let want = crc32_oracle(bytes);
+    for k in crc_lanes() {
+        assert_eq!(k.crc32(bytes), want, "{} lane, {what}", k.backend().name());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Every length from 0 to 4 KiB, each at its own offset in `0..16`,
+    /// so every fold entry point (< 64 bytes, whole 64-byte blocks,
+    /// trailing 16-byte blocks, a table tail) meets every alignment.
+    #[test]
+    fn crc32_lanes_match_oracle_at_every_length(seed in any::<u64>()) {
+        let buf: Vec<u8> = fill(seed, 4096 + 16, 256).iter().map(|&v| v as u8).collect();
+        let offsets = fill(seed ^ 0x0FF5, 4097, 16);
+        for (len, &off) in offsets.iter().enumerate() {
+            let slice = &buf[off as usize..off as usize + len];
+            let want = crc32_oracle(slice);
+            for k in crc_lanes() {
+                prop_assert_eq!(k.crc32(slice), want, "{} lane, len {} at offset {}",
+                    k.backend().name(), len, off);
+            }
+        }
+    }
+}
+
+#[test]
+fn crc32_megabyte_and_constant_buffers() {
+    for (mib, off) in [(1usize, 0usize), (4, 3)] {
+        let buf: Vec<u8> = fill(mib as u64, (mib << 20) + off, 256)
+            .iter()
+            .map(|&v| v as u8)
+            .collect();
+        check_crc(&buf[off..], &format!("{mib} MiB at offset {off}"));
+    }
+    for byte in [0x00u8, 0xFF] {
+        for len in (0..=200).chain([4096, (1 << 20) + 5]) {
+            check_crc(&vec![byte; len], &format!("{len} bytes of {byte:#04x}"));
+        }
+    }
+}
+
+/// Known answers, computed offline:
+/// `python3 -c 'import zlib; print([hex(zlib.crc32(bytes((i * i * 7 + i * s) % 251 for i in range(n)))) for s, n in ((1, 63), (2, 4109), (3, 1048583))])'`
+#[test]
+fn crc32_known_answers() {
+    let seeded =
+        |s: u64, n: u64| -> Vec<u8> { (0..n).map(|i| ((i * i * 7 + i * s) % 251) as u8).collect() };
+    let cases = [
+        (b"123456789".to_vec(), 0xCBF4_3926),
+        (Vec::new(), 0),
+        (seeded(1, 63), 0xA1F4_BDE9),
+        (seeded(2, 4109), 0x1C4C_39EC),
+        (seeded(3, 1_048_583), 0xAFE6_942A),
+    ];
+    for (bytes, want) in &cases {
+        assert_eq!(crc32_oracle(bytes), *want, "oracle, {} bytes", bytes.len());
+        for k in crc_lanes().into_iter().chain([dispatch::kernels()]) {
+            assert_eq!(
+                k.crc32(bytes),
+                *want,
+                "{} lane, {} bytes",
+                k.backend().name(),
+                bytes.len()
+            );
+        }
+    }
 }

@@ -27,6 +27,14 @@
 //! port: the flag *is* the version negotiation. A receiver that sees the
 //! flag verifies the trailer and strips it; a mismatch means the frame
 //! was corrupted in flight and must be refused — never decoded.
+//!
+//! The trailer costs one pass of [`hefv_core::crc32::crc32`] per side
+//! (sealing and verifying), on the kernel seam's CRC lane: ≈ 16 GB/s
+//! with the `PCLMULQDQ` fold and ≈ 1.7 GB/s on the slicing-by-16 scalar
+//! lane, against ≈ 0.29 GB/s for the byte-at-a-time loop it replaced
+//! (2-vCPU AVX2 host). A `mult` request's two n = 4096 ciphertexts
+//! (≈ 393 KB) thus take ≈ 24 µs per pass on the server's poll thread,
+//! not ≈ 1.4 ms.
 
 use hefv_core::crc32::crc32;
 

@@ -339,9 +339,31 @@ fn backpressure_with_tiny_inflight_window_loses_nothing() {
 /// must convert engine backpressure into TCP backpressure (retrying
 /// buffered frames) instead of blocking or dropping. Regression test
 /// for the non-blocking dispatch seam.
+///
+/// The burst is encoded before the first send and every job sleeps 2 ms
+/// first, so two workers drain at most one job per millisecond while the
+/// poll thread dispatches the buffered frames far faster: the queue must
+/// overflow however fast the ops and the checksums run.
 #[test]
 fn tiny_shard_queue_backpressure_loses_nothing() {
-    let (ctx, router) = toy_router(1, 2); // queue capacity 2
+    let ctx = Arc::new(FvContext::new(FvParams::insecure_toy()).unwrap());
+    let router = Arc::new(ShardRouter::new());
+    router
+        .add_shard(ShardSpec {
+            name: "s0".into(),
+            ctx: Arc::clone(&ctx),
+            config: EngineConfig {
+                workers: 2,
+                threads_per_job: 1,
+                queue_capacity: 2,
+                chaos: Some(ChaosPlan {
+                    delay: Duration::from_millis(2),
+                    ..ChaosPlan::default()
+                }),
+                ..EngineConfig::default()
+            },
+        })
+        .unwrap();
     let tenant = onboard(&ctx, &router, 6, 23);
     let server = NetServer::bind(
         "127.0.0.1:0",
@@ -358,10 +380,12 @@ fn tiny_shard_queue_backpressure_loses_nothing() {
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
     let t = ctx.params().t;
+    let frames: Vec<Vec<u8>> = (0..48u64)
+        .map(|f| add_frame(&ctx, &tenant, f % t, 2, &mut rng))
+        .collect();
     let mut expected = HashMap::new();
-    for f in 0..48u64 {
-        let frame = add_frame(&ctx, &tenant, f % t, 2, &mut rng);
-        expected.insert(client.send_frame(&frame).unwrap(), (f % t + 2) % t);
+    for (f, frame) in (0..48u64).zip(&frames) {
+        expected.insert(client.send_frame(frame).unwrap(), (f % t + 2) % t);
     }
     client.finish_sending().unwrap();
     let mut seen = HashSet::new();

@@ -16,7 +16,7 @@ use hefv_net::{Client, NetServer, ServerConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The harness runs `#[test]`s concurrently, and a sibling test's live
 /// workers would skew this process's task count — every counting test
@@ -29,6 +29,30 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 
 fn live_threads() -> usize {
     std::fs::read_dir("/proc/self/task").unwrap().count()
+}
+
+/// Live tasks named `hefv-net-poll` (the name `NetServer::bind` gives
+/// its poll thread), so another test's thread that is still tearing down
+/// cannot skew the count. A task already in `do_exit` (`PF_EXITING` in
+/// its `stat` flags) is not live: `join` returns once the exiting thread
+/// clears its tid, a moment before the kernel unlists it.
+fn poll_threads() -> usize {
+    const PF_EXITING: u64 = 0x4;
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("stat")).ok())
+        .filter(|stat| {
+            // `tid (comm) state ppid pgrp session tty_nr tpgid flags …`
+            let Some((head, tail)) = stat.rsplit_once(')') else {
+                return false;
+            };
+            let flags = tail
+                .split_whitespace()
+                .nth(6)
+                .and_then(|f| f.parse::<u64>().ok());
+            head.ends_with("(hefv-net-poll") && flags.is_some_and(|f| f & PF_EXITING == 0)
+        })
+        .count()
 }
 
 fn live_fds() -> usize {
@@ -216,13 +240,18 @@ fn dropping_the_server_joins_the_poll_thread() {
             },
         })
         .unwrap();
-    let before = live_threads();
+    assert_eq!(poll_threads(), 0, "no poll thread before bind");
     {
         let _server =
             NetServer::bind("127.0.0.1:0", Arc::clone(&router), ServerConfig::default()).unwrap();
-        assert!(live_threads() > before, "poll thread is running");
+        // The new thread names itself as it starts: wait for the name.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while poll_threads() == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(poll_threads(), 1, "poll thread is running");
         // Dropped here without an explicit shutdown().
     }
-    assert_eq!(live_threads(), before, "drop must join the poll thread");
+    assert_eq!(poll_threads(), 0, "drop must join the poll thread");
     router.shutdown();
 }
