@@ -20,7 +20,9 @@
 //! path runs, `Lift q→Q` and `Scale Q→q` over a whole polynomial (paper
 //! shape: n = 4096, 6 + 7 primes, fixed-point quotient), and records
 //! their combined simd-vs-scalar ratio as
-//! `acceptance.lift_scale_speedup_simd_vs_scalar`.
+//! `acceptance.lift_scale_speedup_simd_vs_scalar`. The key-switch SoP
+//! row (k = 6 digit-major lines, scattered through a permutation) is
+//! recorded the same way as `acceptance.sop_row_speedup_simd_vs_scalar`.
 //!
 //! Environment knobs:
 //! * `BENCH_PR4_OUT` / `BENCH_PR7_OUT` — output paths for the JSON reports.
@@ -93,7 +95,9 @@ fn lane_times(k: &'static Kernels, table: &NttTable, input: &[u64], quick: bool)
         },
         quick,
     ) * 1e6;
-    // One SoP residue row at the paper's digit count (k = 6 primes in Q).
+    // One SoP residue row at the paper's digit count (k = 6 primes in Q),
+    // in storage order: six digit-major lines per operand, each output
+    // scattered through a permutation (index reversal).
     let digits = 6usize;
     let line = |seed: u64| -> Vec<u32> {
         (0..n as u64 * digits as u64)
@@ -341,7 +345,8 @@ fn main() {
             "  }},\n",
             "  \"acceptance\": {{\n",
             "    \"ntt_forward_plus_inverse_speedup_simd_vs_scalar\": {cs:.3},\n",
-            "    \"lift_scale_speedup_simd_vs_scalar\": {hp:.3}\n",
+            "    \"lift_scale_speedup_simd_vs_scalar\": {hp:.3},\n",
+            "    \"sop_row_speedup_simd_vs_scalar\": {os:.3}\n",
             "  }}\n",
             "}}\n"
         ),

@@ -419,7 +419,7 @@ pub fn relinearize_in(
         "relin key digit count mismatch"
     );
     let digits = Digits::new_in(ctx, &t.d2, arena);
-    let (mut c0, mut c1) = digits.switch_in(ctx, &rlk.key, &ctx.automorphism_table(1), arena);
+    let (mut c0, mut c1) = digits.switch_in(ctx, &rlk.key, arena);
     digits.recycle(arena);
     c0.add_assign(&t.d0, ctx.base_q());
     c1.add_assign(&t.d1, ctx.base_q());

@@ -6,7 +6,8 @@
 //! it back to `s`. That key switch is the same operation as
 //! relinearization (§II-B's `WordDecomp` + `SoP`) and runs through the same
 //! crate-private key-switching core: one key type, stored once as the
-//! 32-bit slot-major tables the SoP reads, and one SoP kernel
+//! 32-bit digit-major tables the SoP reads (pre-permuted by the key's own
+//! automorphism), and one SoP kernel
 //! ([`hefv_math::dispatch::Kernels::sop_narrow_row`]) for every basis
 //! [`FvContext`] accepts.
 //!
@@ -24,8 +25,9 @@
 //!    **once** — the σ-independent part.
 //! 2. Each rotation applies `σ_g` to the NTT-domain digits as a pure index
 //!    permutation ([`hefv_math::ntt::GaloisPermutation`]; the evaluation
-//!    points absorb every sign flip) fused into the key inner product, then
-//!    runs two inverse NTTs.
+//!    points absorb every sign flip) fused into the key inner product —
+//!    the key is stored permuted, so the product streams in storage order
+//!    and only its output is scattered — then runs two inverse NTTs.
 //!
 //! Correctness rests on two invariants:
 //!
@@ -152,7 +154,9 @@ fn add_automorphism_assign(ctx: &FvContext, acc: &mut RnsPoly, src: &RnsPoly, g:
 
 /// A key-switching key for one Galois exponent: digit-wise encryptions of
 /// `h_i · σ_g(s)` under `s`, in NTT domain, stored once in the 32-bit
-/// slot-major tables the hoisted SoP reads.
+/// digit-major tables the hoisted SoP reads, pre-permuted by `σ_g`'s
+/// NTT-domain permutation. [`GaloisKey::ksk0`]/[`GaloisKey::ksk1`] and the
+/// wire codec see natural order.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GaloisKey {
     /// The automorphism exponent.
@@ -183,7 +187,7 @@ impl GaloisKey {
         s_g.ntt_forward(ctx.ntt_q());
         GaloisKey {
             g,
-            key: KeySwitchKey::generate(ctx, sk, &s_g, rng),
+            key: KeySwitchKey::generate(ctx, sk, &s_g, g, rng),
         }
     }
 
@@ -201,18 +205,7 @@ impl GaloisKey {
         ksk0: Vec<RnsPoly>,
         ksk1: Vec<RnsPoly>,
     ) -> Result<Self, crate::Error> {
-        Self::from_key(ctx, g, KeySwitchKey::from_parts(ctx, ksk0, ksk1)?)
-    }
-
-    /// Wraps validated switching-key tables (shared with the wire decoder).
-    pub(crate) fn from_key(
-        ctx: &FvContext,
-        g: usize,
-        key: KeySwitchKey,
-    ) -> Result<Self, crate::Error> {
-        if !is_valid_exponent(g, ctx.params().n) {
-            return Err(crate::Error::Wire(format!("invalid Galois exponent {g}")));
-        }
+        let key = KeySwitchKey::from_parts(ctx, g, ksk0, ksk1)?;
         Ok(GaloisKey { g, key })
     }
 
@@ -237,9 +230,9 @@ impl GaloisKey {
 /// NTT-domain digit decomposition of `c1`, computed once and shared by any
 /// number of rotations (the Halevi–Shoup hoisting of the module docs).
 ///
-/// The digits live in one 32-bit arena buffer, in the slot-major layout
-/// the key tables share, so a rotation's gather reads one contiguous
-/// `k`-wide line per slot. Together with copies of `c0` and `c1` that is
+/// The digits live in one 32-bit arena buffer, in the digit-major layout
+/// the key tables share, so a rotation streams `k` contiguous lines per
+/// residue. Together with copies of `c0` and `c1` that is
 /// three arena-recyclable buffers, and construction allocates nothing
 /// when served from a warm [`Arena`].
 #[derive(Debug)]
@@ -304,8 +297,7 @@ impl HoistedCiphertext {
     /// Panics if the key's digit count mismatches the context.
     pub fn rotate_in(&self, ctx: &FvContext, key: &GaloisKey, arena: &Arena) -> Ciphertext {
         assert_eq!(key.digits(), self.k, "digit count mismatch");
-        let perm = ctx.automorphism_table(key.g);
-        let (mut c0, c1) = self.digits.switch_in(ctx, &key.key, &perm, arena);
+        let (mut c0, c1) = self.digits.switch_in(ctx, &key.key, arena);
         // c0' = σ_g(c0) + SoP0, accumulated without materializing σ_g(c0).
         add_automorphism_assign(ctx, &mut c0, &self.c0, key.g);
         Ciphertext { c0, c1 }
@@ -336,9 +328,8 @@ impl HoistedCiphertext {
         let mut c0_rot = arena.take_poly_zeroed(k, n, Domain::Coefficient);
         for key in keys {
             assert_eq!(key.digits(), k, "digit count mismatch");
-            let perm = ctx.automorphism_table(key.g);
             self.digits
-                .sop_acc(ctx, &key.key, &perm, None, &mut acc0, &mut acc1);
+                .sop_acc(ctx, &key.key, None, &mut acc0, &mut acc1);
             add_automorphism_assign(ctx, &mut c0_rot, &self.c0, key.g);
         }
         acc0.ntt_inverse(ctx.ntt_q());
@@ -580,11 +571,11 @@ pub fn sum_slots(ctx: &FvContext, ct: &Ciphertext, keys: &GaloisKeySet) -> Ciphe
 /// [`sum_slots`] drawing every intermediate from `arena`.
 ///
 /// The fold keeps `c0` in the **NTT domain for its entire lifetime**: a
-/// rotation's `c0` contribution is then one fused gather inside the SoP
-/// pass (no automorphism scatter, no per-group inverse transform for
-/// `c0`), and only `c1` — which each group must re-decompose — round-trips
-/// through the coefficient domain. One digit buffer is reused across all
-/// groups.
+/// rotation's `c0` contribution is then one contiguous seed read inside
+/// the SoP pass (no separate automorphism pass, no per-group inverse
+/// transform for `c0`), and only `c1` — which each group must
+/// re-decompose — round-trips through the coefficient domain. One digit
+/// buffer is reused across all groups.
 pub fn sum_slots_in(
     ctx: &FvContext,
     ct: &Ciphertext,
@@ -616,8 +607,7 @@ pub fn sum_slots_in(
         let mut acc1 = arena.take_poly_zeroed(k, n, Domain::Ntt);
         for &ki in group {
             let key = &keys.keys[ki];
-            let perm = ctx.automorphism_table(key.g);
-            digits.sop_acc(ctx, &key.key, &perm, Some(&c0_ntt), &mut acc0, &mut acc1);
+            digits.sop_acc(ctx, &key.key, Some(&c0_ntt), &mut acc0, &mut acc1);
         }
         // C0 ← C0 + Σ_r (π_r(C0) + SoP0_r): still NTT-domain, no inverse.
         c0_ntt.add_assign(&acc0, basis);

@@ -72,8 +72,8 @@ impl PublicKey {
 
 /// Relinearization key: for each RNS digit `i`, a pair
 /// `(rlk0_i, rlk1_i) = (-(a_i·s + e_i) + h_i·s², a_i)` in NTT domain — the
-/// key switch from `s²` to `s`, stored once in the 32-bit slot-major
-/// tables the key-switch SoP reads.
+/// key switch from `s²` to `s`, stored once in the 32-bit digit-major
+/// tables the key-switch SoP reads (as a `g = 1` key, unpermuted).
 ///
 /// Because `h_i` is the CRT idempotent (`h_i ≡ δ_{ij} mod q_j`), the
 /// `h_i·s²` term touches only residue row `i`.
@@ -87,7 +87,7 @@ impl RelinKey {
     pub fn generate<R: Rng + ?Sized>(ctx: &FvContext, sk: &SecretKey, rng: &mut R) -> Self {
         let s2 = sk.s_ntt.pointwise_mul(&sk.s_ntt, ctx.base_q());
         RelinKey {
-            key: KeySwitchKey::generate(ctx, sk, &s2, rng),
+            key: KeySwitchKey::generate(ctx, sk, &s2, 1, rng),
         }
     }
 

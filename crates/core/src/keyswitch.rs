@@ -11,15 +11,31 @@
 //! (`g = 1`); a rotation permutes the NTT-domain digits first.
 //!
 //! This module alone knows the table layout. Digits and keys are stored
-//! **slot-major** as `u32`: entry `(j·n + t)·k + i` holds digit `i`,
-//! residue `j`, slot `t`. The SoP kernel
-//! ([`hefv_math::dispatch::Kernels::sop_narrow_row`]) then reads one
-//! contiguous `k`-wide line per slot. [`FvContext`] admits only primes in
-//! `[2^29, 2^31)`, so every residue fits a `u32` lane, and the kernel's
-//! partial folds keep its `u64` sums exact for any `k`.
+//! **digit-major** as `u32`: entry `(j·k + i)·n + u` holds digit `i`,
+//! residue `j`, coefficient `u`, so each residue row is `k` contiguous
+//! lines of `n`. A key for `σ_g` is stored **pre-permuted** by its own
+//! NTT-domain permutation `π = π_g`, `K'_i[π(t)] = K_i[t]` (a
+//! relinearization key, `g = 1`, is stored as is). Since
+//!
+//! `Σ_i D_i[π(t)]·K_i[t] = Σ_i D_i[u]·K'_i[u]` at `u = π(t)`,
+//!
+//! the SoP kernel ([`hefv_math::dispatch::Kernels::sop_narrow_row`])
+//! streams digits and keys in storage order and adds each coefficient's
+//! sum into the accumulator at `t = π⁻¹(u)`: one permuted store per
+//! output, through the key's scatter table `π⁻¹ = π_{g⁻¹ mod 2n}` (the
+//! software analogue of the paper's Memory-Rearrange address ROM, with
+//! keys streamed in storage order as in §VI-A). The sums are exact
+//! integers and the final reduction is canonical, so every output is
+//! bit-identical to the gathering form. Keys travel on the wire in
+//! natural order: the permutation is applied where a key is built
+//! (generated, assembled or decoded) and undone where it is read back.
+//! [`FvContext`] admits only primes in `[2^29, 2^31)`, so every residue
+//! fits a `u32` lane, and the kernel's partial folds keep its `u64` sums
+//! exact for any `k`.
 
 use crate::context::FvContext;
 use crate::error::Error;
+use crate::galois::is_valid_exponent;
 use crate::keys::SecretKey;
 use crate::rnspoly::{Domain, RnsPoly};
 use crate::sampler;
@@ -27,15 +43,20 @@ use crate::scratch::Arena;
 use hefv_math::ntt::GaloisPermutation;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A switching key from some `s'` to `s`: for each RNS digit `i`, the pair
 /// `(ksk0_i, ksk1_i) = (−(a_i·s + e_i) + h_i·s', a_i)` in NTT domain, where
 /// `h_i` is the CRT idempotent (`h_i ≡ δ_ij mod q_j`). Stored only as the
-/// two slot-major `u32` tables the SoP reads.
+/// two digit-major `u32` tables the SoP reads, pre-permuted by the key's
+/// automorphism, beside that automorphism's scatter table.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct KeySwitchKey {
     k: usize,
     n: usize,
+    /// `π_g⁻¹`: coefficient `u` of a stored line belongs to slot
+    /// `scatter[u]` (shared through the context's permutation cache).
+    scatter: Arc<GaloisPermutation>,
     /// `ksk0` and `ksk1`, each `k·k·n` entries in the module's layout.
     tables: [Vec<u32>; 2],
 }
@@ -59,29 +80,46 @@ impl WireOrder {
     }
 }
 
+/// `g⁻¹ mod 2n` for a valid exponent `g`: `σ_{g⁻¹}` undoes `σ_g`, so its
+/// NTT-domain permutation is `π_g⁻¹`.
+fn inverse_exponent(g: usize, n: usize) -> usize {
+    (1..2 * n)
+        .step_by(2)
+        .find(|&x| x * g % (2 * n) == 1)
+        .expect("odd exponents are units mod 2n")
+}
+
 impl KeySwitchKey {
-    fn zeroed(k: usize, n: usize) -> Self {
+    /// An all-zero key for exponent `g` (already validated).
+    fn zeroed(ctx: &FvContext, g: usize) -> Self {
+        let (k, n) = (ctx.params().k(), ctx.params().n);
         KeySwitchKey {
             k,
             n,
+            scatter: ctx.automorphism_table(inverse_exponent(g, n)),
             tables: [vec![0; k * k * n], vec![0; k * k * n]],
         }
     }
 
-    /// Generates a key switching `target` (`s'` in NTT domain) to `s`.
+    /// Generates a key switching `target` (`s'` in NTT domain) to `s`, to
+    /// be applied after `σ_g` (`g = 1` for relinearization).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is not a valid exponent.
     pub(crate) fn generate<R: Rng + ?Sized>(
         ctx: &FvContext,
         sk: &SecretKey,
         target: &RnsPoly,
+        g: usize,
         rng: &mut R,
     ) -> Self {
         let basis = ctx.base_q();
-        let (k, n) = (ctx.params().k(), ctx.params().n);
-        let mut key = Self::zeroed(k, n);
-        for i in 0..k {
-            let mut a = sampler::uniform_poly(rng, basis, n);
+        let mut key = Self::zeroed(ctx, g);
+        for i in 0..key.k {
+            let mut a = sampler::uniform_poly(rng, basis, key.n);
             a.ntt_forward(ctx.ntt_q());
-            let mut e = sampler::gaussian_poly(rng, basis, n, ctx.params().sigma);
+            let mut e = sampler::gaussian_poly(rng, basis, key.n, ctx.params().sigma);
             e.ntt_forward(ctx.ntt_q());
             let mut key0 = a.pointwise_mul(sk.s_ntt(), basis).add(&e, basis).neg(basis);
             // + h_i · s': the idempotent touches only row i.
@@ -95,15 +133,18 @@ impl KeySwitchKey {
         key
     }
 
-    /// Builds a key from its digit polynomials.
+    /// Builds the key for exponent `g` from its natural-order digit
+    /// polynomials.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Wire`] when the digit vectors disagree with the
     /// context's shape (digit count, residue count, ring degree, NTT
-    /// domain) or hold a residue outside `[0, q_j)`.
+    /// domain), hold a residue outside `[0, q_j)`, or `g` is not a valid
+    /// exponent.
     pub(crate) fn from_parts(
         ctx: &FvContext,
+        g: usize,
         ksk0: Vec<RnsPoly>,
         ksk1: Vec<RnsPoly>,
     ) -> Result<Self, Error> {
@@ -115,7 +156,10 @@ impl KeySwitchKey {
                 ksk1.len()
             )));
         }
-        let mut key = Self::zeroed(k, n);
+        if !is_valid_exponent(g, n) {
+            return Err(Error::Wire(format!("invalid Galois exponent {g}")));
+        }
+        let mut key = Self::zeroed(ctx, g);
         for (half, polys) in [ksk0, ksk1].iter().enumerate() {
             for (i, p) in polys.iter().enumerate() {
                 if p.k() != k || p.n() != n || p.domain() != Domain::Ntt {
@@ -137,11 +181,22 @@ impl KeySwitchKey {
         Ok(key)
     }
 
-    /// Scatters digit `i` of one half into its table.
+    /// The table range of digit `i`, residue `j`.
+    fn line(&self, i: usize, j: usize) -> std::ops::Range<usize> {
+        let at = (j * self.k + i) * self.n;
+        at..at + self.n
+    }
+
+    /// Writes digit `i` of one half into its table, permuted:
+    /// `K'[u] = K[π⁻¹(u)]`.
     fn set_digit(&mut self, half: usize, i: usize, p: &RnsPoly) {
-        let k = self.k;
-        for (x, &v) in p.flat().iter().enumerate() {
-            self.tables[half][x * k + i] = v as u32;
+        for j in 0..self.k {
+            let line = self.line(i, j);
+            let src = p.row(j);
+            let dst = &mut self.tables[half][line];
+            for (d, &t) in dst.iter_mut().zip(self.scatter.table()) {
+                *d = src[t as usize] as u32;
+            }
         }
     }
 
@@ -152,18 +207,18 @@ impl KeySwitchKey {
     }
 
     /// Digit `i` of `ksk0` (`half = 0`) or `ksk1` (`half = 1`) as an owned
-    /// NTT-domain `u64` polynomial, for oracles and tests.
+    /// natural-order NTT-domain `u64` polynomial, for the wire encoder,
+    /// oracles and tests.
     pub(crate) fn digit(&self, half: usize, i: usize) -> RnsPoly {
-        let flat = self.digit_coeffs(half, i).collect();
-        RnsPoly::from_flat(flat, self.k, Domain::Ntt)
-    }
-
-    /// The coefficients of one digit polynomial, residue-major.
-    fn digit_coeffs(&self, half: usize, i: usize) -> impl Iterator<Item = u64> + '_ {
-        self.tables[half][i..]
-            .iter()
-            .step_by(self.k)
-            .map(|&v| u64::from(v))
+        let mut p = RnsPoly::zero_in(self.k, self.n, Domain::Ntt);
+        for j in 0..self.k {
+            let src = &self.tables[half][self.line(i, j)];
+            let dst = p.row_mut(j);
+            for (&v, &t) in src.iter().zip(self.scatter.table()) {
+                dst[t as usize] = u64::from(v);
+            }
+        }
+        p
     }
 
     /// Bytes of key material held (`2·k²·n` residues of 4 bytes).
@@ -175,18 +230,23 @@ impl KeySwitchKey {
     /// [`crate::wire`]), in `order`.
     pub(crate) fn encode(&self, order: WireOrder, out: &mut Vec<u8>) {
         for (half, i) in order.polys(self.k) {
-            crate::wire::put_key_coeffs(out, Domain::Ntt, self.digit_coeffs(half, i));
+            crate::wire::put_key_coeffs(
+                out,
+                Domain::Ntt,
+                self.digit(half, i).flat().iter().copied(),
+            );
         }
     }
 
     /// Reads `2k` digit polynomials in `order` through `read` and builds
-    /// the key.
+    /// the key for exponent `g`.
     ///
     /// # Errors
     ///
     /// Whatever `read` returns, or a [`KeySwitchKey::from_parts`] error.
     pub(crate) fn decode(
         ctx: &FvContext,
+        g: usize,
         order: WireOrder,
         mut read: impl FnMut() -> Result<RnsPoly, Error>,
     ) -> Result<Self, Error> {
@@ -196,12 +256,12 @@ impl KeySwitchKey {
             halves[half].push(read()?);
         }
         let [ksk0, ksk1] = halves;
-        Self::from_parts(ctx, ksk0, ksk1)
+        Self::from_parts(ctx, g, ksk0, ksk1)
     }
 }
 
 /// The σ-independent half of a key switch: the NTT-domain digit
-/// decomposition of one polynomial, in the module's slot-major layout,
+/// decomposition of one polynomial, in the module's digit-major layout,
 /// held in an arena buffer.
 #[derive(Debug)]
 pub(crate) struct Digits(Vec<u32>);
@@ -209,8 +269,8 @@ pub(crate) struct Digits(Vec<u32>);
 impl Digits {
     /// Decomposes `c` (coefficient domain), drawing every buffer from
     /// `arena`: each digit is spread across the residues and
-    /// forward-transformed in a `k × n` scratch, then scattered into the
-    /// table (one stride-`k` write pass per row).
+    /// forward-transformed in a `k × n` scratch, then narrowed into its
+    /// `k` lines of the table (one contiguous copy per row).
     pub(crate) fn new_in(ctx: &FvContext, c: &RnsPoly, arena: &Arena) -> Self {
         let (k, n) = (c.k(), c.n());
         assert_eq!(c.domain(), Domain::Coefficient, "decomposition domain");
@@ -220,9 +280,10 @@ impl Digits {
             ctx.spread_digit_into(c.row(i), scratch.flat_mut());
             for (j, row) in scratch.flat_mut().chunks_mut(n).enumerate() {
                 ctx.ntt_q()[j].forward(row);
-            }
-            for (x, &v) in scratch.flat().iter().enumerate() {
-                digits[x * k + i] = v as u32;
+                let at = (j * k + i) * n;
+                for (d, &v) in digits[at..at + n].iter_mut().zip(row.iter()) {
+                    *d = v as u32;
+                }
             }
         }
         arena.recycle(scratch);
@@ -235,13 +296,14 @@ impl Digits {
     }
 
     /// Accumulates one switch's inner product into the NTT-domain
-    /// accumulators, with the automorphism permutation fused in as a
-    /// gather on the digit side:
+    /// accumulators, with the automorphism `π` of `key` applied:
     ///
     /// `acc_b[j][t] += Σ_i D_i[j][π(t)] · ksk_b[i][j][t]  (mod q_j)`
     ///
-    /// When `c0_ntt` is given, `c0[j][π(t)]` is seeded into the same sum,
-    /// so a rotation's whole `acc0` contribution costs one extra gather.
+    /// computed in storage order as `Σ_i D_i[j][u] · K'_b[i][j][u]`,
+    /// added at `t = π⁻¹(u)`. When `c0_ntt` is given, `c0[j][π(t)]` is
+    /// seeded into the same sum, so a rotation's whole `acc0`
+    /// contribution costs one extra contiguous read.
     ///
     /// # Panics
     ///
@@ -250,7 +312,6 @@ impl Digits {
         &self,
         ctx: &FvContext,
         key: &KeySwitchKey,
-        perm: &GaloisPermutation,
         c0_ntt: Option<&RnsPoly>,
         acc0: &mut RnsPoly,
         acc1: &mut RnsPoly,
@@ -259,10 +320,10 @@ impl Digits {
         assert_eq!(self.0.len(), k * k * n, "key shape mismatch");
         let kernels = hefv_math::dispatch::kernels();
         for j in 0..k {
-            let lines = j * n * k..(j + 1) * n * k;
+            let lines = j * k * n..(j + 1) * k * n;
             kernels.sop_narrow_row(
                 ctx.base_q().modulus(j),
-                perm.table(),
+                key.scatter.table(),
                 &self.0[lines.clone()],
                 &key.tables[0][lines.clone()],
                 &key.tables[1][lines],
@@ -280,13 +341,12 @@ impl Digits {
         &self,
         ctx: &FvContext,
         key: &KeySwitchKey,
-        perm: &GaloisPermutation,
         arena: &Arena,
     ) -> (RnsPoly, RnsPoly) {
         let (k, n) = (key.k, key.n);
         let mut acc0 = arena.take_poly_zeroed(k, n, Domain::Ntt);
         let mut acc1 = arena.take_poly_zeroed(k, n, Domain::Ntt);
-        self.sop_acc(ctx, key, perm, None, &mut acc0, &mut acc1);
+        self.sop_acc(ctx, key, None, &mut acc0, &mut acc1);
         acc0.ntt_inverse(ctx.ntt_q());
         acc1.ntt_inverse(ctx.ntt_q());
         (acc0, acc1)

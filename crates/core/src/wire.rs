@@ -72,23 +72,15 @@ pub fn decode_ciphertext(ctx: &FvContext, bytes: &[u8]) -> Result<Ciphertext, Er
             bytes.len()
         )));
     }
-    let mut off = 12;
-    let mut read_poly = || -> RnsPoly {
-        // One flat k·n read straight into the polynomial's contiguous
-        // storage — no per-row vectors.
-        let mut data = Vec::with_capacity(k * n);
-        for _ in 0..k * n {
-            let b = &bytes[off..off + 4];
-            data.push(u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as u64);
-            off += 4;
-        }
-        RnsPoly::from_flat(data, k, Domain::Coefficient)
-    };
-    let c0 = read_poly();
-    let c1 = read_poly();
-    // Validate coefficients against the moduli (C-VALIDATE).
-    for (poly, name) in [(&c0, "c0"), (&c1, "c1")] {
-        for (i, row) in poly.rows().enumerate() {
+    // Each body is one widening copy of `k·n` little-endian `u32` into the
+    // polynomial's pre-sized storage, row by row, each row validated
+    // against its modulus while it is hot (C-VALIDATE).
+    let read_poly = |body: &[u8], name: &str| -> Result<RnsPoly, Error> {
+        let mut data = vec![0u64; k * n];
+        for (i, (row, src)) in data.chunks_mut(n).zip(body.chunks_exact(4 * n)).enumerate() {
+            for (d, b) in row.iter_mut().zip(src.chunks_exact(4)) {
+                *d = u64::from(u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
+            }
             let q = ctx.base_q().modulus(i).value();
             if row.iter().any(|&c| c >= q) {
                 return Err(Error::Wire(format!(
@@ -96,7 +88,11 @@ pub fn decode_ciphertext(ctx: &FvContext, bytes: &[u8]) -> Result<Ciphertext, Er
                 )));
             }
         }
-    }
+        Ok(RnsPoly::from_flat(data, k, Domain::Coefficient))
+    };
+    let (c0_bytes, c1_bytes) = bytes[12..].split_at(k * n * 4);
+    let c0 = read_poly(c0_bytes, "c0")?;
+    let c1 = read_poly(c1_bytes, "c1")?;
     Ok(Ciphertext { c0, c1 })
 }
 
@@ -297,7 +293,7 @@ pub fn decode_relin_key(ctx: &FvContext, bytes: &[u8]) -> Result<crate::keys::Re
             ctx.params().k()
         )));
     }
-    let key = KeySwitchKey::decode(ctx, WireOrder::Pairs, || read_key_poly(ctx, &mut cur))?;
+    let key = KeySwitchKey::decode(ctx, 1, WireOrder::Pairs, || read_key_poly(ctx, &mut cur))?;
     cur.finish()?;
     Ok(crate::keys::RelinKey { key })
 }
@@ -345,8 +341,8 @@ pub fn decode_galois_key_set(
     let mut keys = Vec::with_capacity(n_keys);
     for _ in 0..n_keys {
         let g = cur.u32()? as usize;
-        let key = KeySwitchKey::decode(ctx, WireOrder::Halves, || read_key_poly(ctx, &mut cur))?;
-        keys.push(crate::galois::GaloisKey::from_key(ctx, g, key)?);
+        let key = KeySwitchKey::decode(ctx, g, WireOrder::Halves, || read_key_poly(ctx, &mut cur))?;
+        keys.push(crate::galois::GaloisKey { g, key });
     }
     let chain_len = cur.u16()? as usize;
     let mut chain = Vec::with_capacity(chain_len);

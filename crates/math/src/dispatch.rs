@@ -17,8 +17,9 @@
 //!
 //! The scalar NTT and pointwise implementations are the pre-existing
 //! portable code, kept verbatim ([`NttTable::forward_scalar`] and
-//! friends), and the scalar SoP is the narrow-layout reference; every
-//! vector kernel is **bit-identical** to its scalar
+//! friends), and the scalar SoP streams the same digit-major lines as
+//! the vector one, in coefficient blocks; every vector kernel is
+//! **bit-identical** to its scalar
 //! counterpart because all dispatched kernels end with an exact reduction
 //! to the canonical `[0, q)` representative (see the `simd` module source
 //! for the lane-range argument, and `tests/simd_equivalence.rs` for the
@@ -86,17 +87,8 @@ pub struct Kernels {
     pointwise_mul_assign: fn(&Modulus, &mut [u64], &[u64]),
     pointwise_mul_acc: fn(&Modulus, &[u64], &[u64], &mut [u64]),
     #[allow(clippy::type_complexity)]
-    sop_narrow_row: fn(
-        &Modulus,
-        &[u32],
-        &[u32],
-        &[u32],
-        &[u32],
-        Option<&[u64]>,
-        &mut [u64],
-        &mut [u64],
-        Range<usize>,
-    ),
+    sop_narrow_row:
+        fn(&Modulus, &[u32], &[u32], &[u32], &[u32], Option<&[u64]>, &mut [u64], &mut [u64], usize),
     hps_premultiply: fn(&HpsConv, &[u64], usize, usize, &mut [u32]),
     hps_quotient: fn(&HpsConv, &[u32], HpsPrecision, &mut [u64]),
     hps_sop: fn(&HpsConv, &[u32], &[u64], &mut [u64], usize),
@@ -192,28 +184,32 @@ impl Kernels {
         (self.pointwise_mul_acc)(m, a, b, acc)
     }
 
-    /// One residue row of the narrow hoisted key-switch sum-of-products:
-    /// for each slot `t` with gather index `p = perm[t]`,
+    /// One residue row of the key-switch sum of products, in storage
+    /// order: for each coefficient `u`, with scatter index `t = perm[u]`,
     ///
     /// ```text
-    /// s0 = c0_row[p] (or 0) + Σ_i digits[p·k + i] · ksk0[t·k + i]
-    /// s1 =                    Σ_i digits[p·k + i] · ksk1[t·k + i]
+    /// s0 = c0_row[u] (or 0) + Σ_i digits[i·n + u] · ksk0[i·n + u]
+    /// s1 =                    Σ_i digits[i·n + u] · ksk1[i·n + u]
     /// acc0[t] += s0 mod q;    acc1[t] += s1 mod q
     /// ```
     ///
+    /// The lines are **digit-major**: `k` contiguous lines of `n`
+    /// coefficients each, so every read streams and only the output is
+    /// permuted. A key switch under `σ_g` passes keys stored pre-permuted
+    /// by `π_g` and `perm = π_g⁻¹` (identity for relinearization).
+    ///
     /// Every operand is a canonical residue in `[0, q)`. The products of
-    /// one slot accumulate in a `u64`, in chunks of at most
-    /// `T = ⌊(2^64 − q)/(q−1)²⌋` digits that are each reduced into the
-    /// accumulators (`T ≥ 15` for 30-bit primes, so the paper's k = 6 is
-    /// one chunk; 3 for 31-bit ones). No sum can wrap for any `q ≤ 2^32`
-    /// and any `k`, and with exact sums the summation order is
-    /// immaterial: lane-partial sums reduce to the identical value.
+    /// one coefficient accumulate in a `u64`, with a partial reduction
+    /// after every `T = ⌊(2^64 − q)/(q−1)²⌋` digits (`T ≥ 15` for 30-bit
+    /// primes, so the paper's k = 6 folds never; 3 for 31-bit ones). No
+    /// sum can wrap for any `q ≤ 2^32` and any `k`, and with exact sums and
+    /// a canonical final reduction the lanes agree bit for bit.
     ///
     /// # Panics
     ///
-    /// Panics if `q > 2^32`, if a `perm` entry is `≥ n`, or if slice
-    /// lengths are inconsistent with `n = perm.len()` and
-    /// `k = digits.len() / n`.
+    /// Panics if `q > 2^32`, if a `perm` entry is `≥ n` (at the scatter
+    /// store that would use it), or if slice lengths are inconsistent with
+    /// `n = perm.len()` and `k = digits.len() / n`.
     #[allow(clippy::too_many_arguments)]
     pub fn sop_narrow_row(
         &self,
@@ -241,16 +237,11 @@ impl Kernels {
         if let Some(row) = c0_row {
             assert_eq!(row.len(), n, "c0 row length mismatch");
         }
-        // One lane pass per chunk of `T` digits, the most `(q−1)²` products
-        // a `u64` holds beside a seed below `q`: each pass reduces its sums
-        // into the accumulators, and only the first takes the seed.
+        // The most `(q−1)²` products a `u64` holds beside a value below `q`
+        // (the seed, or the previous partial reduction).
         let qm1 = m.value() - 1;
         let fold = ((u64::MAX - qm1) / (qm1 * qm1).max(1)) as usize;
-        for lo in (0..k).step_by(fold) {
-            let seed = if lo == 0 { c0_row } else { None };
-            let chunk = lo..(lo + fold).min(k);
-            (self.sop_narrow_row)(m, perm, digits, ksk0, ksk1, seed, acc0, acc1, chunk);
-        }
+        (self.sop_narrow_row)(m, perm, digits, ksk0, ksk1, c0_row, acc0, acc1, fold);
     }
 
     /// HPS `Lift` of a column range of a flat polynomial on this table's
@@ -379,6 +370,10 @@ fn pointwise_mul_acc_scalar(m: &Modulus, a: &[u64], b: &[u64], acc: &mut [u64]) 
     }
 }
 
+/// Coefficients per block of the scalar SoP: the block's sums live in
+/// two stack arrays while every digit line streams past them.
+const SOP_BLOCK: usize = 64;
+
 #[allow(clippy::too_many_arguments)]
 fn sop_narrow_row_scalar(
     m: &Modulus,
@@ -389,28 +384,60 @@ fn sop_narrow_row_scalar(
     c0_row: Option<&[u64]>,
     acc0: &mut [u64],
     acc1: &mut [u64],
-    chunk: Range<usize>,
+    fold: usize,
+) {
+    let cols = 0..perm.len();
+    sop_narrow_cols_scalar(m, perm, digits, ksk0, ksk1, c0_row, acc0, acc1, fold, cols);
+}
+
+/// The scalar SoP over the coefficients `cols` (the AVX2 lane's tail
+/// too), in blocks of [`SOP_BLOCK`].
+#[allow(clippy::too_many_arguments)]
+fn sop_narrow_cols_scalar(
+    m: &Modulus,
+    perm: &[u32],
+    digits: &[u32],
+    ksk0: &[u32],
+    ksk1: &[u32],
+    c0_row: Option<&[u64]>,
+    acc0: &mut [u64],
+    acc1: &mut [u64],
+    fold: usize,
+    cols: Range<usize>,
 ) {
     let n = perm.len();
     let k = digits.len() / n;
-    let (lo, hi) = (chunk.start, chunk.end);
-    for t in 0..n {
-        let p = perm[t] as usize;
-        let dl = &digits[p * k + lo..p * k + hi];
-        let w0 = &ksk0[t * k + lo..t * k + hi];
-        let w1 = &ksk1[t * k + lo..t * k + hi];
-        let mut s0 = match c0_row {
-            Some(row) => row[p],
-            None => 0,
-        };
-        let mut s1 = 0u64;
-        for ((&d, &x0), &x1) in dl.iter().zip(w0).zip(w1) {
-            let d = d as u64;
-            s0 += d * x0 as u64;
-            s1 += d * x1 as u64;
+    let mut lo = cols.start;
+    while lo < cols.end {
+        let w = SOP_BLOCK.min(cols.end - lo);
+        let (mut s0, mut s1) = ([0u64; SOP_BLOCK], [0u64; SOP_BLOCK]);
+        let (s0, s1) = (&mut s0[..w], &mut s1[..w]);
+        if let Some(row) = c0_row {
+            s0.copy_from_slice(&row[lo..lo + w]);
         }
-        acc0[t] = m.add(acc0[t], m.reduce_u64(s0));
-        acc1[t] = m.add(acc1[t], m.reduce_u64(s1));
+        for chunk in (0..k).step_by(fold) {
+            if chunk > 0 {
+                for s in s0.iter_mut().chain(s1.iter_mut()) {
+                    *s = m.reduce_u64(*s);
+                }
+            }
+            for i in chunk..k.min(chunk + fold) {
+                let line = i * n + lo..i * n + lo + w;
+                let keys = ksk0[line.clone()].iter().zip(&ksk1[line.clone()]);
+                let sums = s0.iter_mut().zip(s1.iter_mut());
+                for ((a0, a1), (&d, (&x0, &x1))) in sums.zip(digits[line].iter().zip(keys)) {
+                    let d = u64::from(d);
+                    *a0 += d * u64::from(x0);
+                    *a1 += d * u64::from(x1);
+                }
+            }
+        }
+        for ((&t, &a0), &a1) in perm[lo..lo + w].iter().zip(s0.iter()).zip(s1.iter()) {
+            let t = t as usize;
+            acc0[t] = m.add(acc0[t], m.reduce_u64(a0));
+            acc1[t] = m.add(acc1[t], m.reduce_u64(a1));
+        }
+        lo += w;
     }
 }
 
@@ -514,7 +541,7 @@ static SCALAR: Kernels = Kernels {
 
 // ---------------------------------------------------------------------------
 // AVX2 table — per-call width selection, scalar fallback where a vector
-// path does not apply (wide pointwise moduli, short SoP digit lines).
+// path does not apply (wide pointwise moduli, SoP moduli ≥ 2^31, row tails).
 // ---------------------------------------------------------------------------
 
 // Safety of every `unsafe` call below: these functions are only reachable
@@ -578,13 +605,17 @@ mod avx2 {
         c0_row: Option<&[u64]>,
         acc0: &mut [u64],
         acc1: &mut [u64],
-        chunk: Range<usize>,
+        fold: usize,
     ) {
-        if chunk.len() >= 4 {
-            unsafe { simd::sop_narrow_row(m, perm, digits, ksk0, ksk1, c0_row, acc0, acc1, chunk) }
+        // The vector reduction needs `q < 2^31`; wider moduli and the
+        // last `n mod 8` coefficients take the scalar lane.
+        let done = if m.value() < simd::NARROW_SOP_BOUND {
+            unsafe { simd::sop_narrow_row(m, perm, digits, ksk0, ksk1, c0_row, acc0, acc1, fold) }
         } else {
-            super::sop_narrow_row_scalar(m, perm, digits, ksk0, ksk1, c0_row, acc0, acc1, chunk)
-        }
+            0
+        };
+        let cols = done..perm.len();
+        super::sop_narrow_cols_scalar(m, perm, digits, ksk0, ksk1, c0_row, acc0, acc1, fold, cols)
     }
 
     fn hps_premultiply(conv: &HpsConv, src: &[u64], stride: usize, width: usize, ys: &mut [u32]) {

@@ -1,7 +1,7 @@
 //! AVX2 lane implementations of the dispatched kernels: the Harvey NTT
-//! butterflies, pointwise (Hadamard) multiplication, the hoisted
-//! key-switch sum-of-products line, the three blocks of the HPS basis
-//! conversions (`Lift`/`Scale`), and the `PCLMULQDQ` CRC-32 fold.
+//! butterflies, pointwise (Hadamard) multiplication, the key-switch
+//! sum-of-products row, the three blocks of the HPS basis conversions
+//! (`Lift`/`Scale`), and the `PCLMULQDQ` CRC-32 fold.
 //!
 //! Everything here is selected at runtime by [`crate::dispatch`]; nothing
 //! in this module is reachable unless `is_x86_feature_detected!` found
@@ -37,6 +37,17 @@
 //! [`crate::zq::Modulus::reduce_u64`], giving identical values); wider
 //! moduli fall back to the scalar 128-bit path at the dispatch layer.
 //!
+//! The key-switch SoP row (moduli below `2^31`) streams digit-major
+//! `u32` lines across coefficients, eight per step: even coefficients
+//! multiply in place under `pmuludq` and odd ones after a 32-bit shift,
+//! into `u64` lanes that take a partial reduction every `T` digits and
+//! one [`reduce_u64_narrow`] per output, with no horizontal sum. Only the
+//! output is permuted: each canonical sum is added into the accumulator
+//! through the scatter table by a checked scalar store, so an
+//! out-of-range entry panics instead of writing stray memory. The exact
+//! sums and canonical reductions make it bit-identical to the scalar
+//! lane's blocked loop.
+//!
 //! The HPS blocks work on moduli below `2^31` (see [`crate::rns`] for
 //! the limb-sum and fold bounds): the premultiply is the narrow Shoup
 //! product finished to `[0, q)`, the quotient limb sums and the
@@ -52,11 +63,14 @@ use crate::ntt::NttTable;
 use crate::rns::{HpsConv, HpsPrecision, FRAC_LIMB_BITS, HPS_BLOCK};
 use crate::zq::{Modulus, ShoupMul};
 use core::arch::x86_64::*;
-use std::ops::Range;
 
 /// Moduli below this bound use the narrow (32-bit-operand) NTT kernels:
 /// `q < 2^30` keeps the relaxed range `[0, 4q)` inside 32 bits.
 pub(crate) const NARROW_NTT_BOUND: u64 = 1 << 30;
+
+/// Moduli below this bound use the vector key-switch SoP, whose
+/// [`reduce_u64_narrow`] needs `q < 2^31`.
+pub(crate) const NARROW_SOP_BOUND: u64 = 1 << 31;
 
 /// Moduli below this bound use the vector pointwise kernels: operands in
 /// `[0, q)` with `q < 2^32` keep the full product inside one 64-bit lane.
@@ -685,23 +699,20 @@ pub(crate) unsafe fn pointwise_mul_acc_narrow(m: &Modulus, a: &[u64], b: &[u64],
 }
 
 // ---------------------------------------------------------------------------
-// Hoisted key-switch sum-of-products (narrow layout)
+// Key-switch sum of products (digit-major lines, scattered outputs)
 // ---------------------------------------------------------------------------
 
-/// One digit chunk of one residue row of the narrow SoP: for each slot
-/// `t`, accumulate `Σ_{i∈chunk} digits[π(t)·k + i] · ksk{0,1}[t·k + i]`
-/// (plus the optional hoisted `c0` seed on the first accumulator), reduce
-/// once, and fold into `acc0`/`acc1`. The digit lanes ride 4-wide in `u64`
-/// lanes via `pmuludq`; the dispatcher sizes the chunk so its whole sum
-/// cannot wrap, so any summation order — including lane partials — yields
-/// the same exact sum as the scalar lane.
+/// The storage-order SoP row (see the module notes) over whole groups of
+/// eight coefficients; returns how many it did, the rest being the scalar
+/// lane's. The dispatcher sizes `fold` so no lane sum can wrap.
 ///
 /// # Safety
 ///
-/// The CPU supports AVX2, `chunk` lies in `0..k`, and the slices have the
-/// shapes `Kernels::sop_narrow_row` asserts: `digits`, `ksk0` and `ksk1`
-/// hold `n·k` entries for `n = perm.len()`. (The `perm` entries, which
-/// the gathers below read through raw pointers, are checked here.)
+/// The CPU supports AVX2, `q < 2^31`, and the slices have the shapes
+/// `Kernels::sop_narrow_row` asserts: `digits`, `ksk0` and `ksk1` hold
+/// `k·n` entries for `n = perm.len()`, and `c0_row` (if any) `n`. (The
+/// raw reads depend only on those lengths; `perm` is read through checked
+/// slices.)
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn sop_narrow_row(
@@ -713,78 +724,94 @@ pub(crate) unsafe fn sop_narrow_row(
     c0_row: Option<&[u64]>,
     acc0: &mut [u64],
     acc1: &mut [u64],
-    chunk: Range<usize>,
-) {
+    fold: usize,
+) -> usize {
     let n = perm.len();
-    let k = digits.len() / n;
-    let mut top = _mm256_setzero_si256();
-    let mut entries = perm.chunks_exact(8);
-    for c in &mut entries {
-        top = _mm256_max_epu32(top, _mm256_loadu_si256(c.as_ptr() as *const __m256i));
+    let row = SopRow {
+        n,
+        k: digits.len() / n,
+        fold,
+        lines: [digits.as_ptr(), ksk0.as_ptr(), ksk1.as_ptr()],
+        seed: c0_row.map(|r| r.as_ptr()),
+        reducer: NarrowReducer::new(m, ShoupMul::new((1 << 32) % m.value(), m.value())),
+    };
+    let q = m.value();
+    let mut u = 0usize;
+    while u + 8 <= n {
+        let mut lanes = [[0u64; 8]; 2];
+        for (dst, sums) in lanes.iter_mut().zip(row.columns(u)) {
+            store4(dst.as_mut_ptr(), sums[0]);
+            store4(dst.as_mut_ptr().add(4), sums[1]);
+        }
+        let targets = &perm[u..u + 8];
+        for l in 0..4 {
+            // Lane `l` of the even vector is coefficient `u + 2l`, of the
+            // odd one `u + 2l + 1`.
+            for parity in 0..2 {
+                let t = targets[2 * l + parity] as usize;
+                let (s0, s1) = (lanes[0][4 * parity + l], lanes[1][4 * parity + l]);
+                // Both terms are below q: `min` picks the canonical sum
+                // without a branch (`x − q` wraps above `x` when `x < q`).
+                let (x0, x1) = (acc0[t] + s0, acc1[t] + s1);
+                acc0[t] = x0.min(x0.wrapping_sub(q));
+                acc1[t] = x1.min(x1.wrapping_sub(q));
+            }
+        }
+        u += 8;
     }
-    let mut lanes = [0u32; 8];
-    _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, top);
-    let max = lanes
-        .iter()
-        .chain(entries.remainder())
-        .fold(0, |a, &p| a.max(p));
-    assert!((max as usize) < n, "permutation entry out of range");
-    let (lo, hi) = (chunk.start, chunk.end);
-    for t in 0..n {
-        let p = perm[t] as usize;
-        let dl = digits.as_ptr().add(p * k);
-        let x0 = ksk0.as_ptr().add(t * k);
-        let x1 = ksk1.as_ptr().add(t * k);
-        let mut v0 = _mm256_setzero_si256();
-        let mut v1 = _mm256_setzero_si256();
-        let mut i = lo;
-        while i + 4 <= hi {
-            let d = _mm256_cvtepu32_epi64(_mm_loadu_si128(dl.add(i) as *const __m128i));
-            let w0 = _mm256_cvtepu32_epi64(_mm_loadu_si128(x0.add(i) as *const __m128i));
-            let w1 = _mm256_cvtepu32_epi64(_mm_loadu_si128(x1.add(i) as *const __m128i));
-            v0 = _mm256_add_epi64(v0, _mm256_mul_epu32(d, w0));
-            v1 = _mm256_add_epi64(v1, _mm256_mul_epu32(d, w1));
-            i += 4;
-        }
-        if i + 2 <= hi {
-            // Two-digit tail (the paper's k = 6 lands here): a 64-bit
-            // partial load leaves the upper lanes zero, which contribute
-            // nothing to the lane sums.
-            let d = _mm256_cvtepu32_epi64(_mm_loadl_epi64(dl.add(i) as *const __m128i));
-            let w0 = _mm256_cvtepu32_epi64(_mm_loadl_epi64(x0.add(i) as *const __m128i));
-            let w1 = _mm256_cvtepu32_epi64(_mm_loadl_epi64(x1.add(i) as *const __m128i));
-            v0 = _mm256_add_epi64(v0, _mm256_mul_epu32(d, w0));
-            v1 = _mm256_add_epi64(v1, _mm256_mul_epu32(d, w1));
-            i += 2;
-        }
-        let mut s0 = match c0_row {
-            Some(row) => row[p],
-            None => 0,
-        };
-        let mut s1 = 0u64;
-        let (h0, h1) = hsum_pair(v0, v1);
-        s0 = s0.wrapping_add(h0);
-        s1 = s1.wrapping_add(h1);
-        while i < hi {
-            let d = *dl.add(i) as u64;
-            s0 = s0.wrapping_add(d * *x0.add(i) as u64);
-            s1 = s1.wrapping_add(d * *x1.add(i) as u64);
-            i += 1;
-        }
-        acc0[t] = m.add(acc0[t], m.reduce_u64(s0));
-        acc1[t] = m.add(acc1[t], m.reduce_u64(s1));
-    }
+    u
 }
 
-/// Horizontal wrapping sums of two accumulators at once, sharing the
-/// cross-lane shuffles.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn hsum_pair(v0: __m256i, v1: __m256i) -> (u64, u64) {
-    let s0 = _mm_add_epi64(_mm256_castsi256_si128(v0), _mm256_extracti128_si256(v0, 1));
-    let s1 = _mm_add_epi64(_mm256_castsi256_si128(v1), _mm256_extracti128_si256(v1, 1));
-    let t = _mm_add_epi64(_mm_unpacklo_epi64(s0, s1), _mm_unpackhi_epi64(s0, s1));
-    (_mm_cvtsi128_si64(t) as u64, _mm_extract_epi64(t, 1) as u64)
+/// One residue row of [`sop_narrow_row`], its constants broadcast once.
+struct SopRow {
+    n: usize,
+    k: usize,
+    fold: usize,
+    /// The digit, `ksk0` and `ksk1` lines, `k·n` entries each.
+    lines: [*const u32; 3],
+    seed: Option<*const u64>,
+    reducer: NarrowReducer,
+}
+
+impl SopRow {
+    /// The canonical sums of the eight coefficients from `u`:
+    /// `[half][parity]`, `parity` 0 holding `u, u+2, u+4, u+6` and 1 the
+    /// odd ones.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn columns(&self, u: usize) -> [[__m256i; 2]; 2] {
+        let mut s = [[_mm256_setzero_si256(); 2]; 2];
+        if let Some(seed) = self.seed {
+            // [c0 c4 c2 c6] and [c1 c5 c3 c7], each put in order.
+            let (a, b) = (load4(seed.add(u)), load4(seed.add(u + 4)));
+            s[0][0] = _mm256_permute4x64_epi64(_mm256_unpacklo_epi64(a, b), 0b11_01_10_00);
+            s[0][1] = _mm256_permute4x64_epi64(_mm256_unpackhi_epi64(a, b), 0b11_01_10_00);
+        }
+        let [d, x0, x1] = self.lines;
+        for lo in (0..self.k).step_by(self.fold) {
+            if lo > 0 {
+                for a in s.iter_mut().flatten() {
+                    *a = reduce_u64_narrow(*a, &self.reducer);
+                }
+            }
+            for i in lo..self.k.min(lo + self.fold) {
+                let at = i * self.n + u;
+                let dv = _mm256_loadu_si256(d.add(at) as *const __m256i);
+                let w0 = _mm256_loadu_si256(x0.add(at) as *const __m256i);
+                let w1 = _mm256_loadu_si256(x1.add(at) as *const __m256i);
+                let d_odd = _mm256_srli_epi64(dv, 32);
+                let (w0_odd, w1_odd) = (_mm256_srli_epi64(w0, 32), _mm256_srli_epi64(w1, 32));
+                s[0][0] = _mm256_add_epi64(s[0][0], _mm256_mul_epu32(dv, w0));
+                s[0][1] = _mm256_add_epi64(s[0][1], _mm256_mul_epu32(d_odd, w0_odd));
+                s[1][0] = _mm256_add_epi64(s[1][0], _mm256_mul_epu32(dv, w1));
+                s[1][1] = _mm256_add_epi64(s[1][1], _mm256_mul_epu32(d_odd, w1_odd));
+            }
+        }
+        for a in s.iter_mut().flatten() {
+            *a = reduce_u64_narrow(*a, &self.reducer);
+        }
+        s
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -17,9 +17,13 @@
 //! for the inverse.
 //!
 //! The key-switch sum of products is pinned on both lanes against an
-//! exact `u128` oracle, for 30-, 31- and 32-bit moduli and up to 24
-//! digits, so every digit-chunk boundary is crossed, with and without
-//! the `c0` seed.
+//! oracle that knows nothing of its storage order: natural-order digit
+//! and key lines, the automorphism `π` applied as an explicit gather, and
+//! a `u128` reduction after every product. The kernel gets the keys
+//! pre-permuted by `π` and `π⁻¹` as its scatter table. Moduli of 30, 31
+//! and 32 bits with up to 24 digits cross every partial-fold boundary,
+//! with and without the `c0` seed, for random and identity permutations
+//! and ring sizes below and off the vector lane's 8-coefficient step.
 //!
 //! The HPS basis conversions (`Lift` and `Scale`) are pinned the same way
 //! and, in addition, against the per-coefficient `u128` oracles
@@ -247,104 +251,143 @@ proptest! {
     }
 
     #[test]
-    fn sop_bit_identical_across_digit_counts(
-        log_n in 2u32..=8,
+    fn sop_matches_the_natural_order_oracle(
+        n in 1usize..=300,
         bits in 30u32..=32,
         k in 1usize..=24,
         with_seed in any::<bool>(),
+        identity in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        let n = 1usize << log_n;
-        // 30-bit primes take digit chunks of 15, 31-bit of 3 and 32-bit of
-        // 1, so k up to 24 crosses every chunk boundary.
-        let q = ntt_prime(bits, n, 0).unwrap();
-        let m = Modulus::new(q);
-        let digits: Vec<u32> = fill(seed, n * k, q).iter().map(|&v| v as u32).collect();
-        let ksk0: Vec<u32> = fill(seed ^ 0xF00D, n * k, q).iter().map(|&v| v as u32).collect();
-        let ksk1: Vec<u32> = fill(seed ^ 0xBEEF, n * k, q).iter().map(|&v| v as u32).collect();
-        let c0: Vec<u64> = fill(seed ^ 0xC0, n, q);
+        // 30-bit primes fold every 15 digits, 31-bit every 3 and 32-bit
+        // every digit, so k up to 24 crosses every fold boundary.
+        let q = ntt_prime(bits, 16, 0).unwrap();
+        let line = |salt: u64| -> Vec<u32> {
+            fill(seed ^ salt, n * k, q).iter().map(|&v| v as u32).collect()
+        };
+        let (digits, key0, key1) = (line(0), line(0xF00D), line(0xBEEF));
+        let c0 = fill(seed ^ 0xC0, n, q);
         let c0_row = with_seed.then_some(c0.as_slice());
-        // An arbitrary permutation (index reversal) exercises the gather.
-        let perm: Vec<u32> = (0..n as u32).rev().collect();
-        let acc_init0 = fill(seed ^ 0xA0, n, q);
-        let acc_init1 = fill(seed ^ 0xA1, n, q);
-
-        let (mut s0, mut s1) = (acc_init0.clone(), acc_init1.clone());
-        let scalar = dispatch::scalar_kernels();
-        scalar.sop_narrow_row(&m, &perm, &digits, &ksk0, &ksk1, c0_row, &mut s0, &mut s1);
-        let (w0, w1) = sop_oracle(q, &perm, &digits, &ksk0, &ksk1, c0_row, &acc_init0, &acc_init1);
-        prop_assert_eq!(&s0, &w0, "scalar sop acc0 q={} n={} k={}", q, n, k);
-        prop_assert_eq!(&s1, &w1, "scalar sop acc1 q={} n={} k={}", q, n, k);
-        let Some((_, avx2)) = both_tables() else { return Ok(()); };
-        let (mut v0, mut v1) = (acc_init0, acc_init1);
-        avx2.sop_narrow_row(&m, &perm, &digits, &ksk0, &ksk1, c0_row, &mut v0, &mut v1);
-        prop_assert_eq!(&s0, &v0, "sop acc0 q={} n={} k={}", q, n, k);
-        prop_assert_eq!(&s1, &v1, "sop acc1 q={} n={} k={}", q, n, k);
+        let pi: Vec<u32> = if identity {
+            (0..n as u32).collect()
+        } else {
+            shuffled(seed ^ 0x5EED, n)
+        };
+        let acc = [fill(seed ^ 0xA0, n, q), fill(seed ^ 0xA1, n, q)];
+        let want = sop_oracle(q, &pi, &digits, [&key0, &key1], c0_row, &acc);
+        let got = sop_lanes(q, &pi, &digits, [&key0, &key1], c0_row, &acc);
+        for (lane, out) in got {
+            prop_assert_eq!(&out, &want, "{} lane q={} n={} k={}", lane, q, n, k);
+        }
     }
 }
 
-/// The SoP row in exact `u128` arithmetic, one reduction per slot.
-#[allow(clippy::too_many_arguments)]
+/// A deterministic shuffle of `0..n` (Fisher–Yates over [`fill`]).
+fn shuffled(seed: u64, n: usize) -> Vec<u32> {
+    let mut p: Vec<u32> = (0..n as u32).collect();
+    let draws = fill(seed, n, u64::MAX);
+    for i in (1..n).rev() {
+        p.swap(i, (draws[i] % (i as u64 + 1)) as usize);
+    }
+    p
+}
+
+/// The SoP row as key switching defines it, in natural order: output
+/// slot `t` gathers digit slot `π(t)`, and every product is reduced as it
+/// is added.
+///
+/// `acc_b[t] += c0[π(t)] (b = 0 only) + Σ_i D_i[π(t)] · K_b,i[t]  (mod q)`
 fn sop_oracle(
     q: u64,
-    perm: &[u32],
+    pi: &[u32],
     digits: &[u32],
-    ksk0: &[u32],
-    ksk1: &[u32],
+    keys: [&[u32]; 2],
     c0_row: Option<&[u64]>,
-    acc0: &[u64],
-    acc1: &[u64],
-) -> (Vec<u64>, Vec<u64>) {
-    let n = perm.len();
+    acc: &[Vec<u64>; 2],
+) -> [Vec<u64>; 2] {
+    let n = pi.len();
     let k = digits.len() / n;
     let q = q as u128;
-    let (mut out0, mut out1) = (acc0.to_vec(), acc1.to_vec());
+    let mut out = acc.clone();
     for t in 0..n {
-        let p = perm[t] as usize;
-        let mut s0 = c0_row.map_or(0, |row| row[p] as u128);
-        let mut s1 = 0u128;
-        for i in 0..k {
-            let d = digits[p * k + i] as u128;
-            s0 += d * ksk0[t * k + i] as u128;
-            s1 += d * ksk1[t * k + i] as u128;
+        let p = pi[t] as usize;
+        for (b, key) in keys.iter().enumerate() {
+            let mut s = out[b][t] as u128;
+            if let (0, Some(row)) = (b, c0_row) {
+                s = (s + row[p] as u128) % q;
+            }
+            for i in 0..k {
+                s = (s + digits[i * n + p] as u128 * key[i * n + t] as u128) % q;
+            }
+            out[b][t] = s as u64;
         }
-        out0[t] = ((out0[t] as u128 + s0) % q) as u64;
-        out1[t] = ((out1[t] as u128 + s1) % q) as u64;
     }
-    (out0, out1)
+    out
+}
+
+/// Runs the SoP row on every lane in storage order: each key line stored
+/// pre-permuted (`K'[π(t)] = K[t]`) and `π⁻¹` as the scatter table.
+fn sop_lanes(
+    q: u64,
+    pi: &[u32],
+    digits: &[u32],
+    keys: [&[u32]; 2],
+    c0_row: Option<&[u64]>,
+    acc: &[Vec<u64>; 2],
+) -> Vec<(&'static str, [Vec<u64>; 2])> {
+    let n = pi.len();
+    let mut scatter = vec![0u32; n];
+    for (t, &p) in pi.iter().enumerate() {
+        scatter[p as usize] = t as u32;
+    }
+    let [stored0, stored1] = keys.map(|key| {
+        let mut stored = vec![0u32; key.len()];
+        for (line, src) in stored.chunks_mut(n).zip(key.chunks(n)) {
+            for (&p, &v) in pi.iter().zip(src) {
+                line[p as usize] = v;
+            }
+        }
+        stored
+    });
+    let m = Modulus::new(q);
+    lanes()
+        .into_iter()
+        .map(|kernels| {
+            let [mut a0, mut a1] = acc.clone();
+            kernels.sop_narrow_row(
+                &m, &scatter, digits, &stored0, &stored1, c0_row, &mut a0, &mut a1,
+            );
+            (kernels.backend().name(), [a0, a1])
+        })
+        .collect()
 }
 
 /// The SoP's worst case: every digit, key word, seed and accumulator at
-/// `q − 1`, for 30-, 31- and 32-bit primes and up to 24 digits. Without
-/// the digit chunks every one of these sums past 15 products (past 3 at
+/// `q − 1`, for 30-, 31- and 32-bit primes and up to 24 digits, on a row
+/// of whole vector steps and on one with a 5-coefficient tail. Without
+/// the partial folds every one of these sums past 15 products (past 3 at
 /// 31 bits) would wrap `u64`.
 #[test]
 fn sop_extremes_at_every_width() {
-    let n = 16usize;
-    let perm: Vec<u32> = (0..n as u32).collect();
-    for bits in [30u32, 31, 32] {
-        let q = ntt_prime(bits, n, 0).unwrap();
-        let m = Modulus::new(q);
-        for k in [1usize, 3, 4, 6, 15, 16, 20, 24] {
-            let max = vec![(q - 1) as u32; n * k];
-            let seed = vec![q - 1; n];
-            let acc = vec![q - 1; n];
-            let (w0, w1) = sop_oracle(q, &perm, &max, &max, &max, Some(&seed), &acc, &acc);
-            let mut lanes = vec![dispatch::scalar_kernels()];
-            lanes.extend(dispatch::avx2_kernels());
-            for kernels in lanes {
-                let (mut a0, mut a1) = (acc.clone(), acc.clone());
-                kernels.sop_narrow_row(&m, &perm, &max, &max, &max, Some(&seed), &mut a0, &mut a1);
-                let lane = kernels.backend().name();
-                assert_eq!(a0, w0, "{lane} acc0 bits={bits} k={k}");
-                assert_eq!(a1, w1, "{lane} acc1 bits={bits} k={k}");
+    for n in [16usize, 13] {
+        let pi: Vec<u32> = (0..n as u32).rev().collect();
+        for bits in [30u32, 31, 32] {
+            let q = ntt_prime(bits, 16, 0).unwrap();
+            for k in [1usize, 3, 4, 6, 15, 16, 20, 24] {
+                let max = vec![(q - 1) as u32; n * k];
+                let seed = vec![q - 1; n];
+                let acc = [vec![q - 1; n], vec![q - 1; n]];
+                let want = sop_oracle(q, &pi, &max, [&max, &max], Some(&seed), &acc);
+                for (lane, out) in sop_lanes(q, &pi, &max, [&max, &max], Some(&seed), &acc) {
+                    assert_eq!(out, want, "{lane} lane n={n} bits={bits} k={k}");
+                }
             }
         }
     }
 }
 
-/// A permutation entry past the row is caller error: both lanes panic
-/// instead of reading past the digit table.
+/// A scatter entry past the row is caller error: both lanes panic at
+/// the store instead of writing past the accumulators.
 #[test]
 fn sop_rejects_out_of_range_permutation() {
     let (n, k) = (16usize, 6usize);
@@ -353,9 +396,7 @@ fn sop_rejects_out_of_range_permutation() {
     let lines = vec![1u32; n * k];
     let mut perm: Vec<u32> = (0..n as u32).collect();
     perm[9] = n as u32;
-    let mut lanes = vec![dispatch::scalar_kernels()];
-    lanes.extend(dispatch::avx2_kernels());
-    for kernels in lanes {
+    for kernels in lanes() {
         let caught = std::panic::catch_unwind(|| {
             let (mut a0, mut a1) = (vec![0u64; n], vec![0u64; n]);
             kernels.sop_narrow_row(&m, &perm, &lines, &lines, &lines, None, &mut a0, &mut a1);
@@ -473,9 +514,9 @@ fn hps_paper_shape_full_width() {
     check_hps_cols(shape, 0xF00D, 0..shape.n).unwrap();
 }
 
-/// Every CRC lane this CPU can run: the scalar table, then AVX2 when
+/// Every lane this CPU can run: the scalar table, then AVX2 when
 /// present.
-fn crc_lanes() -> Vec<&'static Kernels> {
+fn lanes() -> Vec<&'static Kernels> {
     std::iter::once(dispatch::scalar_kernels())
         .chain(dispatch::avx2_kernels())
         .collect()
@@ -505,7 +546,7 @@ fn crc32_oracle(bytes: &[u8]) -> u32 {
 
 fn check_crc(bytes: &[u8], what: &str) {
     let want = crc32_oracle(bytes);
-    for k in crc_lanes() {
+    for k in lanes() {
         assert_eq!(k.crc32(bytes), want, "{} lane, {what}", k.backend().name());
     }
 }
@@ -523,7 +564,7 @@ proptest! {
         for (len, &off) in offsets.iter().enumerate() {
             let slice = &buf[off as usize..off as usize + len];
             let want = crc32_oracle(slice);
-            for k in crc_lanes() {
+            for k in lanes() {
                 prop_assert_eq!(k.crc32(slice), want, "{} lane, len {} at offset {}",
                     k.backend().name(), len, off);
             }
@@ -562,7 +603,7 @@ fn crc32_known_answers() {
     ];
     for (bytes, want) in &cases {
         assert_eq!(crc32_oracle(bytes), *want, "oracle, {} bytes", bytes.len());
-        for k in crc_lanes().into_iter().chain([dispatch::kernels()]) {
+        for k in lanes().into_iter().chain([dispatch::kernels()]) {
             assert_eq!(
                 k.crc32(bytes),
                 *want,

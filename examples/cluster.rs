@@ -38,7 +38,10 @@
 //! `HEFV_NET_FAULT=drop:0.01,corrupt:0.002,delay:5ms` (see
 //! `crates/net/README.md`) makes the front↔node links lossy, slow and
 //! bit-flipping; the run must still end green — that is CI's
-//! fault-injection leg.
+//! fault-injection leg. With `corrupt:P > 0` the nodes' own HEVS scrapes
+//! must also show refused envelopes (`hefv_integrity_failures_total`,
+//! summed over the nodes), or the run fails: flips that no CRC caught
+//! would mean the check never ran.
 
 use hefv::core::prelude::*;
 use hefv::engine::prelude::*;
@@ -101,6 +104,26 @@ fn spawn_node(ctx: &Arc<FvContext>, i: usize) -> Result<Node, String> {
         server,
         router,
     })
+}
+
+/// `hefv_integrity_failures_total` off one node's own HEVS scrape: the
+/// corrupted front→node envelopes that node refused.
+fn integrity_failures(addr: SocketAddr) -> Result<u64, String> {
+    let metrics = Client::connect(addr)
+        .and_then(|mut c| c.scrape_stats(wire::StatsKind::Metrics))
+        .map_err(|e| format!("scrape {addr}: {e}"))?;
+    Ok(metrics
+        .lines()
+        .filter(|l| l.starts_with("hefv_integrity_failures_total"))
+        .filter_map(|l| l.split_whitespace().last()?.parse::<f64>().ok())
+        .sum::<f64>() as u64)
+}
+
+/// The `corrupt:P` probability of a `HEFV_NET_FAULT` spec (0 if absent).
+fn corrupt_probability(spec: &str) -> f64 {
+    spec.split(',')
+        .find_map(|part| part.trim().strip_prefix("corrupt:")?.trim().parse().ok())
+        .unwrap_or(0.0)
 }
 
 /// Total replies the front has collected from its nodes.
@@ -272,9 +295,11 @@ fn main() -> Result<(), String> {
             // The node's durable state, as of the instant it dies: leg 3
             // restores a replacement from exactly this snapshot.
             let snapshot = victim_node.router.snapshot_keys();
+            // Its refused-envelope count dies with it: read it first.
+            let caught = integrity_failures(victim_node.addr);
             victim_node.server.shutdown();
             victim_node.router.shutdown();
-            (at, snapshot)
+            (at, snapshot, caught)
         })
     };
 
@@ -364,7 +389,9 @@ fn main() -> Result<(), String> {
             .map_err(|_| format!("client {i} panicked"))?
             .map_err(|e| format!("client {i}: {e}"))?;
     }
-    let (killed_at, victim_snapshot) = assassin.join().map_err(|_| "assassin panicked")?;
+    let (killed_at, victim_snapshot, victim_caught) =
+        assassin.join().map_err(|_| "assassin panicked")?;
+    let victim_caught = victim_caught?;
     println!("node {victim} killed after {killed_at} replies");
     if killed_at >= CLIENTS * FRAMES_PER_CLIENT {
         return Err("node was killed only after the workload finished — no fault tolerated".into());
@@ -570,6 +597,30 @@ fn main() -> Result<(), String> {
             for line in metrics.lines().filter(|l| l.starts_with(family)) {
                 println!("  {line}");
             }
+        }
+
+        // Injected flips hit front→node requests, so the nodes refuse and
+        // count them: sum their own scrapes (the killed node's as of its
+        // kill). A corrupting run that sent frames must have caught some.
+        let mut caught = victim_caught + integrity_failures(reborn.addr)?;
+        for nd in &nodes {
+            caught += integrity_failures(nd.addr)?;
+        }
+        let forwarded: u64 = front
+            .stats()
+            .remote
+            .iter()
+            .map(|r| r.stats.frames_forwarded)
+            .sum();
+        println!(
+            "  nodes refused {caught} corrupted envelopes of {forwarded} frames forwarded \
+             (hefv_integrity_failures_total summed over node scrapes)"
+        );
+        if corrupt_probability(&fault) > 0.0 && forwarded > 0 && caught == 0 {
+            return Err(format!(
+                "HEFV_NET_FAULT={fault} corrupts frames, but no node refused any of \
+                 {forwarded} forwarded frames"
+            ));
         }
         reborn.server.shutdown();
         reborn.router.shutdown();
