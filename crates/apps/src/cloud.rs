@@ -70,7 +70,6 @@ impl CloudServer {
                 ctx: Arc::clone(&ctx),
                 config: EngineConfig {
                     workers,
-                    threads_per_job: 1,
                     queue_capacity: 128,
                     ..EngineConfig::default()
                 },

@@ -29,7 +29,6 @@ fn start_engine(f: &Fixture, workers: usize) -> Engine {
         Arc::clone(&f.ctx),
         EngineConfig {
             workers,
-            threads_per_job: 1,
             max_batch: 16,
             ..EngineConfig::default()
         },

@@ -45,9 +45,6 @@ fn bench_mult(c: &mut Criterion) {
             ))
         })
     });
-    g.bench_function("Square HPS fixed-point", |b| {
-        b.iter(|| black_box(eval::square(&ctx, &ca, &rlk, Backend::default())))
-    });
     g.finish();
 }
 

@@ -33,7 +33,6 @@ fn fixture() -> Fixture {
                 ctx: Arc::clone(&ctx),
                 config: EngineConfig {
                     workers: 2,
-                    threads_per_job: 1,
                     queue_capacity: 256,
                     ..EngineConfig::default()
                 },

@@ -5,15 +5,18 @@
 //! The strict transforms (`forward_strict`/`inverse_strict`) are the exact
 //! pre-overhaul implementation, kept in-tree as the oracle — so the
 //! speedup this bench reports is a live before/after measurement, not a
-//! stale number. Results are printed as a table and written to
-//! `$BENCH_PR4_OUT` (default `BENCH_PR4.json` in the crate directory; CI
-//! uploads it as an artifact).
+//! stale number. The strict and lazy transforms run in alternating
+//! rounds of one measurement. Results are printed as a table and written
+//! to `$BENCH_PR4_OUT` (default `BENCH_PR4.json` in the crate directory;
+//! CI uploads it as an artifact).
 //!
 //! Since PR 7 the same binary also measures the **SIMD lane comparison**:
 //! each dispatched kernel (forward/inverse NTT, pointwise product, hoisted
 //! key-switch SoP line) timed through the scalar table vs the AVX2 table,
-//! written to `$BENCH_PR7_OUT` (default `BENCH_PR7.json`). On hardware
-//! without AVX2 the comparison is skipped and the report says so — CI
+//! written to `$BENCH_PR7_OUT` (default `BENCH_PR7.json`). The two lanes
+//! run in alternating rounds of one measurement, so drift on a shared
+//! host lands on both and the gated ratios stay steady. On hardware
+//! without AVX2 there is no second lane and the report says so — CI
 //! gates the SIMD ratio only when the fresh report ran on AVX2.
 //!
 //! The lane report also times the two HPS basis conversions the `Mult`
@@ -41,60 +44,90 @@ use rand::SeedableRng;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Minimum time per measurement in seconds (keeps samples meaningful
-/// without pinning the CI smoke job).
-fn measure<F: FnMut()>(mut f: F, quick: bool) -> f64 {
-    // Warm up and size the batch.
-    let t0 = Instant::now();
-    f();
-    let once = t0.elapsed().as_secs_f64().max(1e-9);
+/// Times the closures in `fs` in alternating rounds: every round runs one
+/// batch of each, in forward order on even rounds and reverse order on
+/// odd ones, so drift on a shared host lands on all sides alike and the
+/// ratio between them stays steady. Returns each side's best per-call
+/// time in seconds.
+fn measure<const N: usize>(mut fs: [&mut dyn FnMut(); N], quick: bool) -> [f64; N] {
+    // Warm up and size each side's batch to a fixed share of the round.
     let target = if quick { 0.02 } else { 0.2 };
-    let batch = ((target / 8.0 / once) as u64).clamp(1, 1 << 20);
+    let batch = fs.each_mut().map(|f| {
+        let t0 = Instant::now();
+        f();
+        let once = t0.elapsed().as_secs_f64().max(1e-9);
+        ((target / 8.0 / once) as u64).clamp(1, 1 << 20)
+    });
     let samples = if quick { 3 } else { 8 };
-    let mut best = f64::INFINITY;
-    for _ in 0..samples {
-        let t = Instant::now();
-        for _ in 0..batch {
-            f();
+    let mut best = [f64::INFINITY; N];
+    for round in 0..samples {
+        for j in 0..N {
+            let i = if round % 2 == 0 { j } else { N - 1 - j };
+            let t = Instant::now();
+            for _ in 0..batch[i] {
+                fs[i]();
+            }
+            best[i] = best[i].min(t.elapsed().as_secs_f64() / batch[i] as f64);
         }
-        best = best.min(t.elapsed().as_secs_f64() / batch as f64);
     }
     best
 }
 
-/// Times the four dispatched kernels through one kernel table; returns
-/// `[forward_us, inverse_us, pointwise_us, sop_us]`.
-fn lane_times(k: &'static Kernels, table: &NttTable, input: &[u64], quick: bool) -> [f64; 4] {
+/// Times one kernel through both tables of `lanes` in alternating rounds;
+/// `mk` builds the timed closure for one table. Returns µs per call.
+fn per_lane<F: FnMut()>(
+    lanes: [&'static Kernels; 2],
+    mk: impl Fn(&'static Kernels) -> F,
+    quick: bool,
+) -> [f64; 2] {
+    let (mut a, mut b) = (mk(lanes[0]), mk(lanes[1]));
+    measure([&mut a, &mut b], quick).map(|t| t * 1e6)
+}
+
+/// Times the four dispatched kernels through the `[scalar, simd]` kernel
+/// tables; returns `[forward, inverse, pointwise, sop]`, each as
+/// `[scalar_us, simd_us]`.
+fn lane_times(
+    lanes: [&'static Kernels; 2],
+    table: &NttTable,
+    input: &[u64],
+    quick: bool,
+) -> [[f64; 2]; 4] {
     let n = table.n();
     let q = table.modulus().value();
     let m = *table.modulus();
     // Transform in place: the canonical [0, q) output is a valid input
     // for either direction, so the loop measures the kernel alone
     // rather than a 32 KB clone per iteration.
-    let mut x = input.to_vec();
-    let fwd = measure(
-        || {
-            k.ntt_forward(table, black_box(&mut x));
+    let fwd = per_lane(
+        lanes,
+        |k| {
+            let mut x = input.to_vec();
+            move || k.ntt_forward(table, black_box(&mut x))
         },
         quick,
-    ) * 1e6;
-    let mut x = input.to_vec();
-    k.ntt_forward(table, &mut x);
-    let inv = measure(
-        || {
-            k.ntt_inverse(table, black_box(&mut x));
+    );
+    let inv = per_lane(
+        lanes,
+        |k| {
+            let mut x = input.to_vec();
+            k.ntt_forward(table, &mut x);
+            move || k.ntt_inverse(table, black_box(&mut x))
         },
         quick,
-    ) * 1e6;
+    );
     let b: Vec<u64> = (0..n as u64).map(|i| (i * 69621 + 11) % q).collect();
-    let mut dst = vec![0u64; n];
-    let pw = measure(
-        || {
-            k.pointwise_mul(&m, input, &b, &mut dst);
-            black_box(&mut dst);
+    let pw = per_lane(
+        lanes,
+        |k| {
+            let (b, mut dst) = (&b, vec![0u64; n]);
+            move || {
+                k.pointwise_mul(&m, input, b, &mut dst);
+                black_box(&mut dst);
+            }
         },
         quick,
-    ) * 1e6;
+    );
     // One SoP residue row at the paper's digit count (k = 6 primes in Q),
     // in storage order: six digit-major lines per operand, each output
     // scattered through a permutation (index reversal).
@@ -106,20 +139,30 @@ fn lane_times(k: &'static Kernels, table: &NttTable, input: &[u64], quick: bool)
     };
     let (d32, k0, k1) = (line(1), line(2), line(3));
     let perm: Vec<u32> = (0..n as u32).rev().collect();
-    let (mut a0, mut a1) = (vec![0u64; n], vec![0u64; n]);
-    let sop = measure(
-        || {
-            k.sop_narrow_row(&m, &perm, &d32, &k0, &k1, Some(input), &mut a0, &mut a1);
-            black_box((&mut a0, &mut a1));
+    let sop = per_lane(
+        lanes,
+        |k| {
+            let (perm, d32, k0, k1) = (&perm, &d32, &k0, &k1);
+            let (mut a0, mut a1) = (vec![0u64; n], vec![0u64; n]);
+            move || {
+                k.sop_narrow_row(&m, perm, d32, k0, k1, Some(input), &mut a0, &mut a1);
+                black_box((&mut a0, &mut a1));
+            }
         },
         quick,
-    ) * 1e6;
+    );
     [fwd, inv, pw, sop]
 }
 
 /// Times whole-polynomial HPS `Lift` and `Scale` (fixed-point quotient)
-/// through one kernel table; returns `[lift_us, scale_us]`.
-fn hps_lane_times(k: &'static Kernels, ctx: &RnsContext, n: usize, quick: bool) -> [f64; 2] {
+/// through the `[scalar, simd]` kernel tables; returns `[lift, scale]`,
+/// each as `[scalar_us, simd_us]`.
+fn hps_lane_times(
+    lanes: [&'static Kernels; 2],
+    ctx: &RnsContext,
+    n: usize,
+    quick: bool,
+) -> [[f64; 2]; 2] {
     let sc = ScaleContext::new(ctx, 2);
     let (kq, kp) = (ctx.base_q().len(), ctx.base_p().len());
     let rows = |b: &hefv_math::RnsBasis| -> Vec<u64> {
@@ -129,22 +172,28 @@ fn hps_lane_times(k: &'static Kernels, ctx: &RnsContext, n: usize, quick: bool) 
     };
     let (lift_in, scale_in) = (rows(ctx.base_q()), rows(ctx.base_full()));
     let prec = HpsPrecision::Fixed;
-    let mut out = vec![0u64; kp * n];
-    let lift = measure(
-        || {
-            k.hps_extend_cols(ctx.lift(), &lift_in, n, 0..n, &mut out, prec);
-            black_box(&mut out);
+    let lift = per_lane(
+        lanes,
+        |k| {
+            let (src, mut out) = (&lift_in, vec![0u64; kp * n]);
+            move || {
+                k.hps_extend_cols(ctx.lift(), src, n, 0..n, &mut out, prec);
+                black_box(&mut out);
+            }
         },
         quick,
-    ) * 1e6;
-    let mut out = vec![0u64; kq * n];
-    let scale = measure(
-        || {
-            k.hps_scale_cols(&sc, ctx, &scale_in, n, 0..n, &mut out, prec);
-            black_box(&mut out);
+    );
+    let scale = per_lane(
+        lanes,
+        |k| {
+            let (sc, src, mut out) = (&sc, &scale_in, vec![0u64; kq * n]);
+            move || {
+                k.hps_scale_cols(sc, ctx, src, n, 0..n, &mut out, prec);
+                black_box(&mut out);
+            }
         },
         quick,
-    ) * 1e6;
+    );
     [lift, scale]
 }
 
@@ -156,40 +205,40 @@ fn main() {
     let table = NttTable::new(Modulus::new(q), n).unwrap();
     let input: Vec<u64> = (0..n as u64).map(|i| (i * 48271 + 3) % q).collect();
 
-    let strict_fwd = measure(
-        || {
-            let mut x = input.clone();
-            table.forward_strict(&mut x);
-            black_box(x);
-        },
+    let [strict_fwd, lazy_fwd] = measure(
+        [
+            &mut || {
+                let mut x = input.clone();
+                table.forward_strict(&mut x);
+                black_box(x);
+            },
+            &mut || {
+                let mut x = input.clone();
+                table.forward(&mut x);
+                black_box(x);
+            },
+        ],
         quick,
-    ) * 1e6;
-    let lazy_fwd = measure(
-        || {
-            let mut x = input.clone();
-            table.forward(&mut x);
-            black_box(x);
-        },
-        quick,
-    ) * 1e6;
+    )
+    .map(|t| t * 1e6);
     let mut frev = input.clone();
     table.forward(&mut frev);
-    let strict_inv = measure(
-        || {
-            let mut x = frev.clone();
-            table.inverse_strict(&mut x);
-            black_box(x);
-        },
+    let [strict_inv, lazy_inv] = measure(
+        [
+            &mut || {
+                let mut x = frev.clone();
+                table.inverse_strict(&mut x);
+                black_box(x);
+            },
+            &mut || {
+                let mut x = frev.clone();
+                table.inverse(&mut x);
+                black_box(x);
+            },
+        ],
         quick,
-    ) * 1e6;
-    let lazy_inv = measure(
-        || {
-            let mut x = frev.clone();
-            table.inverse(&mut x);
-            black_box(x);
-        },
-        quick,
-    ) * 1e6;
+    )
+    .map(|t| t * 1e6);
 
     // End-to-end Mult + relinearize at the paper's full parameter size.
     let ctx = FvContext::new(FvParams::hpca19()).unwrap();
@@ -199,19 +248,19 @@ fn main() {
     let ca = encrypt(&ctx, &pk, &pa, &mut rng);
     let cb = encrypt(&ctx, &pk, &pa, &mut rng);
     let backend = Backend::Hps(HpsPrecision::Fixed);
-    let mult_ms = measure(
-        || {
-            black_box(eval::mul(&ctx, &ca, &cb, &rlk, backend));
-        },
-        quick,
-    ) * 1e3;
     let tensor = eval::tensor(&ctx, &ca, &cb, backend);
-    let relin_ms = measure(
-        || {
-            black_box(eval::relinearize(&ctx, &tensor, &rlk));
-        },
+    let [mult_ms, relin_ms] = measure(
+        [
+            &mut || {
+                black_box(eval::mul(&ctx, &ca, &cb, &rlk, backend));
+            },
+            &mut || {
+                black_box(eval::relinearize(&ctx, &tensor, &rlk));
+            },
+        ],
         quick,
-    ) * 1e3;
+    )
+    .map(|t| t * 1e3);
 
     let fwd_speedup = strict_fwd / lazy_fwd;
     let inv_speedup = strict_inv / lazy_inv;
@@ -259,16 +308,17 @@ fn main() {
     println!("report written to {out}");
 
     // ---- PR 7: SIMD lane comparison (scalar table vs AVX2 table) ----
+    // Without AVX2 hardware there is nothing to compare against: the
+    // scalar table fills both columns (unit speedups), and the report is
+    // marked so the CI gate knows to skip the ratio check.
     let scalar = dispatch::scalar_kernels();
     let avx2 = dispatch::avx2_kernels();
-    let s = lane_times(scalar, &table, &input, quick);
-    // Without AVX2 hardware there is nothing to compare against: report
-    // the scalar numbers for both columns with unit speedups, and mark
-    // the report so the CI gate knows to skip the ratio check.
-    let v = match avx2 {
-        Some(k) => lane_times(k, &table, &input, quick),
-        None => s,
-    };
+    let lanes = [scalar, avx2.unwrap_or(scalar)];
+    let [fwd, inv, pw, sop] = lane_times(lanes, &table, &input, quick);
+    let (s, v) = (
+        [fwd[0], inv[0], pw[0], sop[0]],
+        [fwd[1], inv[1], pw[1], sop[1]],
+    );
     let cpu_avx2 = avx2.is_some();
     let names = ["forward ", "inverse ", "pointwise", "sop line "];
     println!(
@@ -292,11 +342,8 @@ fn main() {
     println!("  forward+inverse NTT simd-vs-scalar speedup ×{ntt_speedup:.2}");
     let primes = ntt_primes(30, n, 13).unwrap();
     let rns = RnsContext::new(&primes[..6], &primes[6..]).unwrap();
-    let hs = hps_lane_times(scalar, &rns, n, quick);
-    let hv = match avx2 {
-        Some(k) => hps_lane_times(k, &rns, n, quick),
-        None => hs,
-    };
+    let [lift, scale] = hps_lane_times(lanes, &rns, n, quick);
+    let (hs, hv) = ([lift[0], scale[0]], [lift[1], scale[1]]);
     for (name, i) in [("lift     ", 0), ("scale    ", 1)] {
         println!(
             "  {name} scalar {:9.2} µs   simd {:9.2} µs   ×{:.2}",

@@ -52,7 +52,6 @@ fn start_router(f: &Fixture, shards: usize) -> ShardRouter {
                 ctx: Arc::clone(&f.ctx),
                 config: EngineConfig {
                     workers: 2,
-                    threads_per_job: 1,
                     ..EngineConfig::default()
                 },
             })

@@ -10,6 +10,13 @@
 //! 4. **WordDecomp** of `c̃2` into RNS digits (`w = 2^30`, one digit per
 //!    `q` prime) and **ReLin**: `c0 = c̃0 + SoP(digits, rlk0)`,
 //!    `c1 = c̃1 + SoP(digits, rlk1)`.
+//!
+//! Every op has one body, the `_in` form, which draws its outputs and
+//! intermediates from a scratch [`Arena`] on the caller's thread. The
+//! arena-less entry points (`mul`, `tensor`, `lift_q_to_full`, …) call it
+//! with a fresh arena, so they allocate on every call. Parallelism comes
+//! from running independent jobs side by side, one arena per thread, as
+//! the `hefv-engine` worker pool does.
 
 use crate::context::FvContext;
 use crate::encrypt::Ciphertext;
@@ -108,29 +115,15 @@ impl PlainOperand {
 
 /// Multiplies a ciphertext by a plaintext polynomial (NTT pointwise; no
 /// relinearization needed). Transforms the plaintext on every call — reuse
-/// a [`PlainOperand`] when the same plaintext multiplies several
-/// ciphertexts.
+/// a [`PlainOperand`] with [`mul_plain_operand_in`] when the same
+/// plaintext multiplies several ciphertexts.
 pub fn mul_plain(ctx: &FvContext, a: &Ciphertext, pt: &crate::encoder::Plaintext) -> Ciphertext {
-    mul_plain_operand(ctx, a, &PlainOperand::new(ctx, pt))
+    mul_plain_operand_in(ctx, a, &PlainOperand::new(ctx, pt), &Arena::new())
 }
 
-/// Multiplies a ciphertext by a precomputed [`PlainOperand`].
-pub fn mul_plain_operand(ctx: &FvContext, a: &Ciphertext, pt: &PlainOperand) -> Ciphertext {
-    let basis = ctx.base_q();
-    // The clones *are* the output buffers: transform in place, multiply in
-    // place, transform back — no intermediate product allocation.
-    let mut r0 = a.c0.clone();
-    let mut r1 = a.c1.clone();
-    r0.ntt_forward(ctx.ntt_q());
-    r1.ntt_forward(ctx.ntt_q());
-    r0.pointwise_mul_assign(&pt.m_ntt, basis);
-    r1.pointwise_mul_assign(&pt.m_ntt, basis);
-    r0.ntt_inverse(ctx.ntt_q());
-    r1.ntt_inverse(ctx.ntt_q());
-    Ciphertext { c0: r0, c1: r1 }
-}
-
-/// [`mul_plain_operand`] with the output buffers drawn from `arena`.
+/// Multiplies a ciphertext by a precomputed [`PlainOperand`], with the
+/// output buffers drawn from `arena`: each copy of `a` is transformed,
+/// multiplied and transformed back in place.
 pub fn mul_plain_operand_in(
     ctx: &FvContext,
     a: &Ciphertext,
@@ -156,43 +149,12 @@ pub fn mul_plain_operand_in(
 /// (the paper's `Lift q→Q`): keeps the `q` residues and appends the
 /// extension residues.
 pub fn lift_q_to_full(ctx: &FvContext, poly: &RnsPoly, backend: Backend) -> RnsPoly {
-    lift_q_to_full_with_budget(ctx, poly, backend, 1)
+    lift_q_to_full_in(ctx, poly, backend, &Arena::new())
 }
 
-/// [`lift_q_to_full`] with the extension rows computed by at most `budget`
-/// OS threads over disjoint coefficient ranges (the extension is
-/// coefficient-streaming, so columns — not rows — are the parallel axis).
-///
-/// Every output coefficient is written exactly once: the `q` rows stream
-/// straight into the output buffer as it is built (no zero-fill followed by
-/// a second memcpy pass) and the extender writes the `p` rows in place
-/// through [`RnsPoly::rows_mut`].
-pub fn lift_q_to_full_with_budget(
-    ctx: &FvContext,
-    poly: &RnsPoly,
-    backend: Backend,
-    budget: usize,
-) -> RnsPoly {
-    assert_eq!(
-        poly.domain(),
-        Domain::Coefficient,
-        "lift needs coefficients"
-    );
-    let k = poly.k();
-    let l = ctx.rns().base_p().len();
-    let n = poly.n();
-    // The q rows are the buffer's initial contents; only the l extension
-    // rows get a placeholder value before the extender overwrites them.
-    let mut data = Vec::with_capacity((k + l) * n);
-    data.extend_from_slice(poly.flat());
-    data.resize((k + l) * n, 0);
-    let mut out = RnsPoly::from_flat(data, k + l, Domain::Coefficient);
-    lift_extension_rows(ctx, poly, backend, budget, &mut out);
-    out
-}
-
-/// [`lift_q_to_full`] with the output drawn from `arena` (single-threaded;
-/// the q rows are written once, directly into the recycled buffer).
+/// [`lift_q_to_full`] with the output drawn from `arena`. Every output
+/// coefficient is written once: the `q` rows are copied into the recycled
+/// buffer and the extender writes the `p` rows in place.
 pub fn lift_q_to_full_in(
     ctx: &FvContext,
     poly: &RnsPoly,
@@ -209,70 +171,22 @@ pub fn lift_q_to_full_in(
     let n = poly.n();
     let mut out = arena.take_poly(k + l, n, Domain::Coefficient);
     out.rows_mut(0, k).copy_from_slice(poly.flat());
-    lift_extension_rows(ctx, poly, backend, 1, &mut out);
-    out
-}
-
-/// Computes the `l` extension rows of a lift into `out[k..k+l]` (the `q`
-/// rows are already in place).
-fn lift_extension_rows(
-    ctx: &FvContext,
-    poly: &RnsPoly,
-    backend: Backend,
-    budget: usize,
-    out: &mut RnsPoly,
-) {
-    let k = poly.k();
-    let l = ctx.rns().base_p().len();
-    let n = poly.n();
     let lift = ctx.rns().lift();
-    let src = poly.flat();
-    fan_out_cols(
-        n,
-        l,
-        out.rows_mut(k, k + l),
-        budget,
-        |cols, dst| match backend {
-            Backend::Traditional => lift.extend_poly_exact_cols_into(src, n, cols, dst),
-            Backend::Hps(prec) => lift.extend_poly_hps_cols_into(src, n, cols, dst, prec),
-        },
-    );
+    let (src, dst) = (poly.flat(), out.rows_mut(k, k + l));
+    match backend {
+        Backend::Traditional => lift.extend_poly_exact_into(src, n, dst),
+        Backend::Hps(prec) => lift.extend_poly_hps_into(src, n, dst, prec),
+    }
+    out
 }
 
 /// Scales a coefficient-domain polynomial over the full `Q` basis down to
 /// `R_q` (the paper's `Scale Q→q`).
 pub fn scale_full_to_q(ctx: &FvContext, poly: &RnsPoly, backend: Backend) -> RnsPoly {
-    scale_full_to_q_with_budget(ctx, poly, backend, 1)
+    scale_full_to_q_in(ctx, poly, backend, &Arena::new())
 }
 
-/// [`scale_full_to_q`] with at most `budget` OS threads over disjoint
-/// coefficient ranges, writing straight into the single output buffer.
-pub fn scale_full_to_q_with_budget(
-    ctx: &FvContext,
-    poly: &RnsPoly,
-    backend: Backend,
-    budget: usize,
-) -> RnsPoly {
-    assert_eq!(
-        poly.domain(),
-        Domain::Coefficient,
-        "scale needs coefficients"
-    );
-    let k = ctx.rns().base_q().len();
-    let n = poly.n();
-    let rns = ctx.rns();
-    let sc = ctx.scale();
-    let mut out = RnsPoly::zero(k, n);
-    let src = poly.flat();
-    fan_out_cols(n, k, out.flat_mut(), budget, |cols, dst| match backend {
-        Backend::Traditional => sc.scale_poly_exact_cols_into(rns, src, n, cols, dst),
-        Backend::Hps(prec) => sc.scale_poly_hps_cols_into(rns, src, n, cols, dst, prec),
-    });
-    out
-}
-
-/// [`scale_full_to_q`] with the output drawn from `arena`
-/// (single-threaded).
+/// [`scale_full_to_q`] with the output drawn from `arena`.
 pub fn scale_full_to_q_in(
     ctx: &FvContext,
     poly: &RnsPoly,
@@ -295,39 +209,6 @@ pub fn scale_full_to_q_in(
         Backend::Hps(prec) => sc.scale_poly_hps_into(rns, src, n, out.flat_mut(), prec),
     }
     out
-}
-
-/// Runs a column-streaming kernel over `[0, n)` with at most `budget`
-/// threads. `out` is a flat `rows × n` buffer (stride `n`); each task
-/// computes one contiguous column chunk into a dense `rows × chunk` scratch
-/// that is scattered back row by row. With `budget <= 1` the kernel writes
-/// the full-width buffer directly — no scratch, no copy.
-fn fan_out_cols(
-    n: usize,
-    rows: usize,
-    out: &mut [u64],
-    budget: usize,
-    kernel: impl Fn(std::ops::Range<usize>, &mut [u64]) + Sync,
-) {
-    debug_assert_eq!(out.len(), rows * n);
-    let tasks = budget.max(1).min(n.max(1));
-    if tasks == 1 {
-        kernel(0..n, out);
-        return;
-    }
-    let chunk = n.div_ceil(tasks);
-    let pieces = crate::parallel::fan_out_indexed(tasks, budget, |t| {
-        let cols = (t * chunk).min(n)..((t + 1) * chunk).min(n);
-        let mut buf = vec![0u64; rows * cols.len()];
-        kernel(cols.clone(), &mut buf);
-        (cols, buf)
-    });
-    for (cols, buf) in pieces {
-        let w = cols.len();
-        for r in 0..rows {
-            out[r * n + cols.start..r * n + cols.end].copy_from_slice(&buf[r * w..(r + 1) * w]);
-        }
-    }
 }
 
 /// The degree-2 intermediate of `Mult` before relinearization.
@@ -457,28 +338,6 @@ pub fn mul_in(
     out
 }
 
-/// Homomorphic squaring (saves one lift and one tensor product).
-pub fn square(ctx: &FvContext, a: &Ciphertext, rlk: &RelinKey, backend: Backend) -> Ciphertext {
-    let full = ctx.rns().base_full();
-    let mut l0 = lift_q_to_full(ctx, &a.c0, backend);
-    let mut l1 = lift_q_to_full(ctx, &a.c1, backend);
-    l0.ntt_forward(ctx.ntt_full());
-    l1.ntt_forward(ctx.ntt_full());
-    let mut t0 = l0.pointwise_mul(&l0, full);
-    let mut t1 = l0.pointwise_mul(&l1, full);
-    t1 = t1.add(&t1, full); // 2·c0·c1
-    let mut t2 = l1.pointwise_mul(&l1, full);
-    t0.ntt_inverse(ctx.ntt_full());
-    t1.ntt_inverse(ctx.ntt_full());
-    t2.ntt_inverse(ctx.ntt_full());
-    let t = TensorResult {
-        d0: scale_full_to_q(ctx, &t0, backend),
-        d1: scale_full_to_q(ctx, &t1, backend),
-        d2: scale_full_to_q(ctx, &t2, backend),
-    };
-    relinearize(ctx, &t, rlk)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -573,18 +432,6 @@ mod tests {
         // 2*3 + 5 = 11
         let r = add(&ctx, &mul(&ctx, &ca, &cb, &rlk, Backend::default()), &cc);
         assert_eq!(decrypt(&ctx, &sk, &r).coeffs()[0], 11);
-    }
-
-    #[test]
-    fn square_matches_mul() {
-        let (ctx, sk, pk, rlk, mut rng) = setup(FvParams::insecure_toy());
-        let t = ctx.params().t;
-        let n = ctx.params().n;
-        let pa = Plaintext::new(vec![3, 2], t, n);
-        let ca = encrypt(&ctx, &pk, &pa, &mut rng);
-        let m = decrypt(&ctx, &sk, &mul(&ctx, &ca, &ca, &rlk, Backend::default()));
-        let s = decrypt(&ctx, &sk, &square(&ctx, &ca, &rlk, Backend::default()));
-        assert_eq!(m, s);
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! representation throughout, with both the traditional-CRT and the HPS
 //! `Lift`/`Scale` datapaths selectable per multiplication.
 //!
+//! Each evaluation op runs on the caller's thread, with one body that
+//! draws its buffers from a [`scratch::Arena`] (see [`eval`]). Services
+//! get their parallelism from independent jobs on separate threads, one
+//! arena each.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -38,7 +43,6 @@ pub mod galois;
 pub mod keys;
 mod keyswitch;
 pub mod noise;
-pub mod parallel;
 pub mod params;
 pub mod rnspoly;
 pub mod sampler;
@@ -54,13 +58,12 @@ pub mod prelude {
     pub use crate::encoder::{BatchEncoder, IntegerEncoder, Plaintext};
     pub use crate::encrypt::{decrypt, encrypt, encrypt_symmetric, trivial_encrypt, Ciphertext};
     pub use crate::error::Error;
-    pub use crate::eval::{add, mul, mul_plain, neg, square, sub, Backend, PlainOperand};
+    pub use crate::eval::{add, mul, mul_plain, neg, sub, Backend, PlainOperand};
     pub use crate::galois::{
         apply_galois, rotate_many, sum_slots, GaloisKey, GaloisKeySet, HoistedCiphertext,
     };
     pub use crate::keys::{keygen, PublicKey, RelinKey, SecretKey};
     pub use crate::noise::measure;
-    pub use crate::parallel::mul_threaded;
     pub use crate::params::FvParams;
     pub use crate::rnspoly::{Domain, RnsPoly};
     pub use crate::scratch::Arena;

@@ -9,7 +9,6 @@
 //! cache-friendly and lets callers hand whole row ranges to the flat-slice
 //! `Lift`/`Scale` APIs without copying.
 
-use crate::parallel::for_each_row_mut;
 use hefv_math::ntt::NttTable;
 use hefv_math::rns::RnsBasis;
 use serde::{Deserialize, Serialize};
@@ -256,33 +255,9 @@ impl RnsPoly {
     ///
     /// Panics on shape mismatch or if either operand is coefficient-domain.
     pub fn pointwise_mul(&self, other: &Self, basis: &RnsBasis) -> Self {
-        self.pointwise_mul_with_budget(other, basis, 1)
-    }
-
-    /// [`RnsPoly::pointwise_mul`] with residue rows fanned out over at
-    /// most `budget` OS threads (the paper's RPAU-per-residue
-    /// distribution).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch or if either operand is coefficient-domain.
-    pub fn pointwise_mul_with_budget(&self, other: &Self, basis: &RnsBasis, budget: usize) -> Self {
-        self.check(other);
-        assert_eq!(
-            self.domain,
-            Domain::Ntt,
-            "pointwise product needs NTT domain"
-        );
-        let mut data = vec![0u64; self.data.len()];
-        for_each_row_mut(&mut data, self.n, budget, |i, row| {
-            basis.modulus(i).mul_slice(self.row(i), other.row(i), row);
-        });
-        RnsPoly {
-            data,
-            k: self.k,
-            n: self.n,
-            domain: Domain::Ntt,
-        }
+        let mut out = RnsPoly::zero_in(self.k, self.n, Domain::Ntt);
+        self.pointwise_mul_into(other, basis, &mut out);
+        out
     }
 
     /// In-place pointwise product: `self ⊙= other` in NTT domain — the
@@ -368,31 +343,16 @@ impl RnsPoly {
     ///
     /// Panics on shape mismatch or wrong domains.
     pub fn pointwise_mul_acc(&mut self, a: &Self, b: &Self, basis: &RnsBasis) {
-        self.pointwise_mul_acc_with_budget(a, b, basis, 1);
-    }
-
-    /// [`RnsPoly::pointwise_mul_acc`] with residue rows fanned out over at
-    /// most `budget` OS threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch or wrong domains.
-    pub fn pointwise_mul_acc_with_budget(
-        &mut self,
-        a: &Self,
-        b: &Self,
-        basis: &RnsBasis,
-        budget: usize,
-    ) {
         a.check(b);
         assert_eq!(self.k, a.k, "residue count mismatch");
         assert_eq!(self.n, a.n, "degree mismatch");
         assert_eq!(self.domain, Domain::Ntt);
         assert_eq!(a.domain, Domain::Ntt);
         let n = self.n;
-        for_each_row_mut(&mut self.data, n, budget, |i, row| {
-            basis.modulus(i).mul_acc_slice(a.row(i), b.row(i), row);
-        });
+        for i in 0..self.k {
+            let dst = &mut self.data[i * n..(i + 1) * n];
+            basis.modulus(i).mul_acc_slice(a.row(i), b.row(i), dst);
+        }
     }
 
     /// Multiplies every coefficient by per-residue scalars (e.g. `Δ mod q_i`).
@@ -416,58 +376,30 @@ impl RnsPoly {
         }
     }
 
-    /// Forward NTT on every residue row.
+    /// Forward NTT on every residue row, handed to the dispatch seam's
+    /// batch entry as one span so same-size transforms across limbs share
+    /// one kernel selection and keep SIMD lanes full.
     ///
     /// # Panics
     ///
     /// Panics if already in NTT domain or if table count mismatches.
     pub fn ntt_forward(&mut self, tables: &[NttTable]) {
-        self.ntt_forward_with_budget(tables, 1);
-    }
-
-    /// Forward NTT with residue rows fanned out over at most `budget` OS
-    /// threads — contiguous row *spans* per task (the paper's
-    /// one-RPAU-per-prime distribution), handed to the dispatch seam's
-    /// batch entry so same-size transforms across limbs share one kernel
-    /// selection and keep SIMD lanes full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if already in NTT domain or if table count mismatches.
-    pub fn ntt_forward_with_budget(&mut self, tables: &[NttTable], budget: usize) {
         assert_eq!(self.domain, Domain::Coefficient, "already in NTT domain");
         assert_eq!(tables.len(), self.k, "table count mismatch");
-        let n = self.n;
-        let kernels = hefv_math::dispatch::kernels();
-        crate::parallel::for_each_row_span_mut(&mut self.data, n, budget, |first, span| {
-            kernels.ntt_forward_batch(&tables[first..first + span.len() / n], span);
-        });
+        hefv_math::dispatch::kernels().ntt_forward_batch(tables, &mut self.data);
         self.domain = Domain::Ntt;
     }
 
-    /// Inverse NTT on every residue row.
+    /// Inverse NTT on every residue row (one batch span, as
+    /// [`RnsPoly::ntt_forward`]).
     ///
     /// # Panics
     ///
     /// Panics if already in coefficient domain or if table count mismatches.
     pub fn ntt_inverse(&mut self, tables: &[NttTable]) {
-        self.ntt_inverse_with_budget(tables, 1);
-    }
-
-    /// Inverse NTT with residue rows fanned out over at most `budget` OS
-    /// threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if already in coefficient domain or if table count mismatches.
-    pub fn ntt_inverse_with_budget(&mut self, tables: &[NttTable], budget: usize) {
         assert_eq!(self.domain, Domain::Ntt, "already in coefficient domain");
         assert_eq!(tables.len(), self.k, "table count mismatch");
-        let n = self.n;
-        let kernels = hefv_math::dispatch::kernels();
-        crate::parallel::for_each_row_span_mut(&mut self.data, n, budget, |first, span| {
-            kernels.ntt_inverse_batch(&tables[first..first + span.len() / n], span);
-        });
+        hefv_math::dispatch::kernels().ntt_inverse_batch(tables, &mut self.data);
         self.domain = Domain::Coefficient;
     }
 }
@@ -607,36 +539,6 @@ mod tests {
         let mut got = a.clone();
         got.pointwise_mul_assign(&c, &b);
         assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn budgeted_kernels_match_serial() {
-        let b = basis();
-        let t = tables(&b, 16);
-        let mut a = RnsPoly::from_signed(&[3, 1, 4, 1, 5, 9, 2, 6, 0, 0, 0, 0, 0, 0, 0, 0], &b);
-        let mut c = RnsPoly::from_signed(&[2, 7, 1, 8, 2, 8, 1, 8, 0, 0, 0, 0, 0, 0, 0, 0], &b);
-        let (a0, c0) = (a.clone(), c.clone());
-        a.ntt_forward(&t);
-        c.ntt_forward(&t);
-        let serial = a.pointwise_mul(&c, &b);
-        for budget in [2usize, 3, 8] {
-            let (mut ap, mut cp) = (a0.clone(), c0.clone());
-            ap.ntt_forward_with_budget(&t, budget);
-            cp.ntt_forward_with_budget(&t, budget);
-            assert_eq!(ap, a, "forward budget {budget}");
-            let par = ap.pointwise_mul_with_budget(&cp, &b, budget);
-            assert_eq!(par, serial, "pointwise budget {budget}");
-            let mut acc_serial = serial.clone();
-            acc_serial.pointwise_mul_acc(&a, &c, &b);
-            let mut acc_par = serial.clone();
-            acc_par.pointwise_mul_acc_with_budget(&ap, &cp, &b, budget);
-            assert_eq!(acc_par, acc_serial, "mul_acc budget {budget}");
-            let mut inv_serial = serial.clone();
-            inv_serial.ntt_inverse(&t);
-            let mut inv_par = par.clone();
-            inv_par.ntt_inverse_with_budget(&t, budget);
-            assert_eq!(inv_par, inv_serial, "inverse budget {budget}");
-        }
     }
 
     #[test]

@@ -17,7 +17,6 @@ use hefv_core::galois::{
     apply_automorphism, apply_automorphism_ntt, apply_galois, apply_galois_reference, rotate_many,
     sum_slots, sum_slots_in, sum_slots_reference, GaloisKey, GaloisKeySet, HoistedCiphertext,
 };
-use hefv_core::parallel;
 use hefv_core::prelude::*;
 use hefv_math::primes::ntt_primes;
 use rand::rngs::StdRng;
@@ -159,11 +158,6 @@ fn relinearize_and_mul_match_the_per_digit_loop() {
             eval::mul_in(ctx, &a, &b, &f.rlk, Backend::default(), &arena),
             want,
             "{name}: mul_in"
-        );
-        assert_eq!(
-            parallel::mul_threaded_with_budget(ctx, &a, &b, &f.rlk, Backend::default(), 2),
-            want,
-            "{name}: mul_threaded"
         );
         let expect = {
             let pa = decrypt(ctx, &f.sk, &a);

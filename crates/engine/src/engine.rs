@@ -3,11 +3,10 @@
 //! Submission path: validate → price with [`CostEstimator`] → enqueue
 //! with the tenant's QoS (weight, optional deadline). Workers pop the
 //! next job under the EDF/stride/aged-cost policy, resolve the tenant's
-//! keys from the [`KeyRegistry`], execute the op-graph (heavy `Mul`s fan
-//! out over `hefv_core::parallel` under a per-job thread budget), and
-//! deliver the result through the job's completion callback. A
-//! background linger timer drains partially-filled scalar batches under
-//! light load. All counters land in [`EngineStats`].
+//! keys from the [`KeyRegistry`], execute the op-graph on the worker's
+//! own thread and scratch arena, and deliver the result through the
+//! job's completion callback. A background linger timer drains
+//! partially-filled scalar batches under light load. All counters land in [`EngineStats`].
 
 use crate::admission::{op_class_mask, Quarantine, SheddingPolicy};
 use crate::chaos::{self, ChaosPlan};
@@ -22,7 +21,6 @@ use hefv_core::encrypt::Ciphertext;
 use hefv_core::eval::{self, Backend, PlainOperand};
 use hefv_core::galois::{apply_galois_in, sum_slots_in, HoistedCiphertext};
 use hefv_core::noise::NoiseModel;
-use hefv_core::parallel;
 use hefv_core::scratch::Arena;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -33,17 +31,11 @@ use std::time::{Duration, Instant};
 /// current machine.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker threads executing jobs (≥ 1).
+    /// Worker threads executing jobs (≥ 1). Each runs one job at a time,
+    /// every op of it on its own thread and scratch arena, so the
+    /// default, one worker per available core, keeps every core busy
+    /// under load.
     pub workers: usize,
-    /// OS threads one job may fan out over (0 = machine budget / workers).
-    /// Only `Mul` uses this budget, through
-    /// [`parallel::mul_threaded_with_budget`], which fans out the lifts,
-    /// transforms, tensor products and scales; its relinearization, like
-    /// every other op, runs on the worker's own thread. That threaded
-    /// path allocates its own buffers instead of drawing them from the
-    /// worker's scratch arena, so the engine's zero-steady-state-allocation
-    /// guarantee holds only when the budget resolves to 1 thread.
-    pub threads_per_job: usize,
     /// Key-registry capacity in tenants.
     pub registry_capacity: usize,
     /// Queue bound: `submit` blocks once this many jobs are pending,
@@ -81,8 +73,7 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            workers: parallel::machine_budget().min(4),
-            threads_per_job: 0,
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             registry_capacity: 64,
             queue_capacity: 128,
             max_batch: 0,
@@ -122,7 +113,6 @@ pub(crate) struct Shared {
     trace_seed: u64,
     queue: JobQueue<Job>,
     noise: NoiseModel,
-    threads_per_job: usize,
     estimator: CostEstimator,
     next_job_id: AtomicU64,
     pub(crate) batching: Option<crate::batch::Batching>,
@@ -424,11 +414,6 @@ impl Engine {
     /// Starts the worker pool for one parameter set.
     pub fn start(ctx: Arc<FvContext>, config: EngineConfig) -> Self {
         let workers = config.workers.max(1);
-        let threads_per_job = if config.threads_per_job == 0 {
-            (parallel::machine_budget() / workers).max(1)
-        } else {
-            config.threads_per_job
-        };
         let estimator = CostEstimator::new(&ctx);
         let aging = if config.aging_weight_us > 0.0 {
             config.aging_weight_us
@@ -446,7 +431,6 @@ impl Engine {
             ),
             trace_seed: config.seed,
             queue: JobQueue::new(aging, config.queue_capacity),
-            threads_per_job,
             estimator,
             next_job_id: AtomicU64::new(0),
             batching,
@@ -878,19 +862,10 @@ fn execute(
                     which: "relin",
                 })?;
                 let (ca, cb) = (val(&req.inputs, &values, a), val(&req.inputs, &values, b));
-                let out = if shared.threads_per_job > 1 {
-                    parallel::mul_threaded_with_budget(
-                        ctx,
-                        ca,
-                        cb,
-                        rlk,
-                        Backend::default(),
-                        shared.threads_per_job,
-                    )
-                } else {
-                    eval::mul_in(ctx, ca, cb, rlk, Backend::default(), arena)
-                };
-                (out, shared.noise.after_mul(mag(&noise, a), mag(&noise, b)))
+                (
+                    eval::mul_in(ctx, ca, cb, rlk, Backend::default(), arena),
+                    shared.noise.after_mul(mag(&noise, a), mag(&noise, b)),
+                )
             }
             EvalOp::MulPlain(a, p) => {
                 let operand = plain_ops[p as usize]

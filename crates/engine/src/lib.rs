@@ -7,9 +7,9 @@
 //! the same idea one layer up — concurrent encrypted-compute requests from
 //! many tenants are validated, priced with the simulated-coprocessor cost
 //! model ([`hefv_sim::cost`], Table II), and dispatched onto a worker pool
-//! with bounded-bypass shortest-job-first scheduling, while each heavy
-//! `Mult` fans out over `hefv_core::parallel` under a per-job thread
-//! budget.
+//! with bounded-bypass shortest-job-first scheduling. Each worker runs
+//! one whole job at a time on its own scratch arena, so the parallelism
+//! comes from jobs running side by side, one per core.
 //!
 //! The pieces:
 //!

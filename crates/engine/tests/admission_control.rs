@@ -114,7 +114,6 @@ fn brownout_sheds_deadline_less_traffic_with_a_retry_hint() {
     let (ctx, engine, pk, mut rng) = engine_with(
         EngineConfig {
             workers: 1,
-            threads_per_job: 1,
             queue_capacity: 16,
             shedding: SheddingPolicy {
                 brownout_occupancy: 0.25, // trips at 4 queued jobs

@@ -164,7 +164,6 @@ fn node_router(ctx: &Arc<FvContext>, name: &str) -> Arc<ShardRouter> {
         ctx: Arc::clone(ctx),
         config: EngineConfig {
             workers: 1,
-            threads_per_job: 1,
             queue_capacity: 64,
             ..EngineConfig::default()
         },
@@ -510,7 +509,6 @@ fn hedged_retry_rescues_a_dead_primary_exactly_once() {
             ctx: Arc::clone(&fx.ctx),
             config: EngineConfig {
                 workers: 1,
-                threads_per_job: 1,
                 ..EngineConfig::default()
             },
         })
@@ -622,7 +620,6 @@ fn hedge_timer_wins_against_a_slow_primary() {
             ctx: Arc::clone(&fx.ctx),
             config: EngineConfig {
                 workers: 1,
-                threads_per_job: 1,
                 ..EngineConfig::default()
             },
         })
@@ -684,7 +681,6 @@ fn pinning_to_a_remote_shard_pushes_keys_before_commit() {
             ctx: Arc::clone(&fx.ctx),
             config: EngineConfig {
                 workers: 1,
-                threads_per_job: 1,
                 ..EngineConfig::default()
             },
         })
@@ -743,7 +739,6 @@ fn remove_shard_under_load(seed: u64) {
                 ctx: Arc::clone(&fx.ctx),
                 config: EngineConfig {
                     workers: 1,
-                    threads_per_job: 1,
                     queue_capacity: 512,
                     ..EngineConfig::default()
                 },

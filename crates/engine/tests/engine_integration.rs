@@ -1,6 +1,7 @@
 //! End-to-end engine tests: multi-tenant isolation, concurrent traffic,
 //! and the batching front-end's mux/demux correctness.
 
+use hefv_core::eval;
 use hefv_core::galois::GaloisKeySet;
 use hefv_core::prelude::*;
 use hefv_engine::prelude::*;
@@ -125,6 +126,64 @@ fn concurrent_multi_tenant_traffic_stays_correct() {
     assert!(stats.per_op.iter().any(|o| o.name == "mul" && o.count == 4));
     assert!(stats.per_op.iter().any(|o| o.name == "add" && o.count == 8));
     engine.shutdown();
+}
+
+/// Every `Mul` runs `eval::mul_in` on its worker's recycled arena: the
+/// engine's ciphertexts must equal the allocating core ops bit for bit
+/// on any worker count, with `MulPlain` jobs of another buffer shape
+/// interleaved so every arena is reused across shapes.
+#[test]
+fn engine_mul_is_bit_identical_to_core_on_every_worker_count() {
+    let ctx = Arc::new(FvContext::new(FvParams::insecure_medium()).unwrap());
+    let mut rng = StdRng::seed_from_u64(1010);
+    let (_, pk, rlk) = keygen(&ctx, &mut rng);
+    let (t, n) = (ctx.params().t, ctx.params().n);
+    let cts: Vec<Ciphertext> = (0..5).map(|v| enc(&ctx, &pk, v, &mut rng)).collect();
+    let mask = Plaintext::new(vec![1, 0, 1], t, n);
+    let jobs: Vec<(EvalRequest, Ciphertext)> = (0..12)
+        .map(|i| {
+            let (a, b) = (&cts[i % 5], &cts[(i + 2) % 5]);
+            if i % 3 == 2 {
+                let req = EvalRequest {
+                    tenant: 1,
+                    inputs: vec![a.clone(), b.clone()],
+                    plaintexts: vec![mask.clone()],
+                    ops: vec![
+                        EvalOp::MulPlain(ValRef::Input(0), 0),
+                        EvalOp::Add(ValRef::Op(0), ValRef::Input(1)),
+                    ],
+                    deadline_us: None,
+                    trace_id: None,
+                };
+                let want = eval::add(&ctx, &eval::mul_plain(&ctx, a, &mask), b);
+                (req, want)
+            } else {
+                let req = EvalRequest::binary(1, EvalOp::Mul, a.clone(), b.clone());
+                (req, eval::mul(&ctx, a, b, &rlk, Backend::default()))
+            }
+        })
+        .collect();
+
+    for workers in [1, 3] {
+        let engine = Engine::start(
+            Arc::clone(&ctx),
+            EngineConfig {
+                workers,
+                ..EngineConfig::default()
+            },
+        );
+        engine.register_tenant(1, TenantKeys::compute(pk.clone(), rlk.clone()));
+        let handles: Vec<JobHandle> = jobs
+            .iter()
+            .map(|(req, _)| engine.submit(req.clone()).unwrap())
+            .collect();
+        for (i, (handle, (_, want))) in handles.into_iter().zip(&jobs).enumerate() {
+            let got = handle.wait().unwrap().result;
+            assert_eq!(&got, want, "workers {workers}, job {i}");
+        }
+        assert_eq!(engine.stats().jobs_completed, jobs.len() as u64);
+        engine.shutdown();
+    }
 }
 
 #[test]

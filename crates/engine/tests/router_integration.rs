@@ -66,7 +66,6 @@ fn mixed_workload_decrypts_and_fleet_cost_matches_the_estimator() {
                 ctx: Arc::clone(&ctx),
                 config: EngineConfig {
                     workers: 1,
-                    threads_per_job: 1,
                     ..EngineConfig::default()
                 },
             })

@@ -39,7 +39,6 @@ fn every_injected_corruption_is_caught_and_retried() {
         ctx: Arc::clone(&ctx),
         config: EngineConfig {
             workers: 2,
-            threads_per_job: 1,
             queue_capacity: 256,
             ..EngineConfig::default()
         },

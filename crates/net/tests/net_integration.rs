@@ -35,7 +35,6 @@ fn toy_router_shedding(
                 ctx: Arc::clone(&ctx),
                 config: EngineConfig {
                     workers: 2,
-                    threads_per_job: 1,
                     queue_capacity,
                     shedding: shedding.clone(),
                     ..EngineConfig::default()
@@ -354,7 +353,6 @@ fn tiny_shard_queue_backpressure_loses_nothing() {
             ctx: Arc::clone(&ctx),
             config: EngineConfig {
                 workers: 2,
-                threads_per_job: 1,
                 queue_capacity: 2,
                 chaos: Some(ChaosPlan {
                     delay: Duration::from_millis(2),

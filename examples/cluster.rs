@@ -80,7 +80,6 @@ fn spawn_node(ctx: &Arc<FvContext>, i: usize) -> Result<Node, String> {
             ctx: Arc::clone(ctx),
             config: EngineConfig {
                 workers: 2,
-                threads_per_job: 1,
                 queue_capacity: 512,
                 ..EngineConfig::default()
             },

@@ -29,7 +29,6 @@ fn main() -> Result<(), String> {
                 ctx: Arc::clone(&ctx),
                 config: EngineConfig {
                     workers: 2,
-                    threads_per_job: 1,
                     ..EngineConfig::default()
                 },
             })

@@ -67,7 +67,6 @@ fn main() -> Result<(), String> {
                 ctx: Arc::clone(&ctx),
                 config: EngineConfig {
                     workers: 2,
-                    threads_per_job: 1,
                     queue_capacity: 512,
                     ..EngineConfig::default()
                 },
@@ -343,7 +342,6 @@ fn run_soak(dump_metrics: bool) -> Result<(), String> {
                 ctx: Arc::clone(&ctx),
                 config: EngineConfig {
                     workers: 2,
-                    threads_per_job: 1,
                     queue_capacity: 512,
                     // Soak-tuned fences: a panic burst trips quarantine
                     // quickly but releases within one backoff horizon,
