@@ -199,7 +199,7 @@ fn main() {
             "    \"reference_ms\": {sr:.3},\n",
             "    \"hoisted_ms\": {sh:.3},\n",
             "    \"speedup\": {ss:.3},\n",
-            "    \"note\": \"slot-sum doubling rounds are sequentially dependent, so one decomposition cannot serve all log2(n) rotations; the grouped fold amortizes within HOIST_GROUP_ROUNDS-round groups (4 decompositions instead of 12 at n=4096)\"\n",
+            "    \"note\": \"slot-sum doubling rounds are sequentially dependent, so one decomposition cannot serve all log2(n) rotations; the grouped fold amortizes within HOIST_GROUP_ROUNDS-round groups (6 decompositions instead of 12 at n=4096)\"\n",
             "  }}\n",
             "}}\n"
         ),

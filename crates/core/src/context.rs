@@ -1,17 +1,19 @@
 //! The FV evaluation context: every precomputed table an instance needs.
 
 use crate::error::Error;
+use crate::keyswitch::DigitGroup;
+use crate::noise::NoiseModel;
 use crate::params::FvParams;
 use hefv_math::bigint::UBig;
 use hefv_math::ntt::{GaloisPermutation, NttTable};
 use hefv_math::rns::{RnsBasis, RnsContext, ScaleContext};
 use hefv_math::zq::Modulus;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Precomputed context for one FV parameter set: RNS bases and extenders,
-/// NTT tables for every prime of `Q`, the scaling constants, and `Δ = ⌊q/t⌋`
-/// in RNS form.
+/// NTT tables for every prime of `Q`, the scaling constants, `Δ = ⌊q/t⌋`
+/// in RNS form, and the digit grouping of its Galois keys.
 ///
 /// Build once, share (`FvContext` is `Send + Sync`) — the paper's analogue
 /// is the constants burnt into on-chip ROM at configuration time.
@@ -38,6 +40,12 @@ pub struct FvContext {
     /// Lazily built NTT-domain automorphism permutation tables, one per
     /// Galois exponent (shared by every prime — see [`GaloisPermutation`]).
     auto_perms: Mutex<HashMap<usize, Arc<GaloisPermutation>>>,
+    /// Digits of every Galois key ([`FvContext::galois_digits`]).
+    galois_digits: usize,
+    /// The prime groups and basis extensions of those digits, built on
+    /// the first grouped (`galois_digits < k`) decomposition, so contexts
+    /// that never rotate do not pay for the extension tables.
+    digit_groups: OnceLock<Vec<DigitGroup>>,
 }
 
 impl FvContext {
@@ -62,6 +70,7 @@ impl FvContext {
         }
         let delta = rns.base_q().product().div_rem(&UBig::from(params.t)).0;
         let delta_rns = rns.base_q().encode(&delta);
+        let galois_digits = NoiseModel::galois_digits_for(&params);
         Ok(FvContext {
             params,
             rns,
@@ -70,6 +79,8 @@ impl FvContext {
             delta_rns,
             delta,
             auto_perms: Mutex::new(HashMap::new()),
+            galois_digits,
+            digit_groups: OnceLock::new(),
         })
     }
 
@@ -116,6 +127,31 @@ impl FvContext {
     /// `Δ = ⌊q/t⌋`.
     pub fn delta(&self) -> &UBig {
         &self.delta
+    }
+
+    /// Digits of every Galois key built for this context: the fewest for
+    /// which the worst-case [`NoiseModel`] still closes a slot sum at the
+    /// declared depth ([`NoiseModel::galois_digits_for`]). Digit `i` groups
+    /// the primes [`FvContext::digit_rows`]`(d, i)`. Relinearization keys
+    /// always use one digit per prime (`k`).
+    pub fn galois_digits(&self) -> usize {
+        self.galois_digits
+    }
+
+    /// The `q` residue rows digit `i` of a `d`-digit key switch groups:
+    /// consecutive primes, split as evenly as possible.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `i < d ≤ k`.
+    pub fn digit_rows(&self, d: usize, i: usize) -> std::ops::Range<usize> {
+        crate::keyswitch::digit_rows(self.params.k(), d, i)
+    }
+
+    /// The prime groups of the Galois digits, with their extensions.
+    pub(crate) fn digit_groups(&self) -> &[DigitGroup] {
+        self.digit_groups
+            .get_or_init(|| DigitGroup::split(self.base_q(), self.galois_digits))
     }
 
     /// Spreads a single-residue digit row (values `< q_i`) to a full set of

@@ -299,7 +299,7 @@ pub fn relinearize_in(
         ctx.params().k(),
         "relin key digit count mismatch"
     );
-    let digits = Digits::new_in(ctx, &t.d2, arena);
+    let digits = Digits::new_in(ctx, &t.d2, rlk.digits(), arena);
     let (mut c0, mut c1) = digits.switch_in(ctx, &rlk.key, arena);
     digits.recycle(arena);
     c0.add_assign(&t.d0, ctx.base_q());

@@ -87,13 +87,13 @@ impl RelinKey {
     pub fn generate<R: Rng + ?Sized>(ctx: &FvContext, sk: &SecretKey, rng: &mut R) -> Self {
         let s2 = sk.s_ntt.pointwise_mul(&sk.s_ntt, ctx.base_q());
         RelinKey {
-            key: KeySwitchKey::generate(ctx, sk, &s2, 1, rng),
+            key: KeySwitchKey::generate(ctx, sk, &s2, 1, ctx.params().k(), rng),
         }
     }
 
     /// Number of digits (equals the number of `q` primes).
     pub fn digits(&self) -> usize {
-        self.key.shape().0
+        self.key.digits()
     }
 
     /// `rlk0_i` in NTT domain, as an owned `u64` copy of the stored

@@ -4,15 +4,48 @@
 //! Relinearization (`WordDecomp` + `ReLin`, step 4 of the paper's Fig. 2)
 //! and a Galois rotation are the same operation. A polynomial `c` that
 //! multiplies some `s'` at decryption (`s²` for the `c̃2` of a tensor
-//! product, `σ_g(s)` for the `c1` of an automorphism) is split into RNS
-//! digits `D_i = c mod q_i`, and the digits' inner product with a
-//! switching key for `s'` yields an encryption of `c·s'` under `s`.
-//! Relinearization is the switch of `c̃2` under the identity permutation
-//! (`g = 1`); a rotation permutes the NTT-domain digits first.
+//! product, `σ_g(s)` for the `c1` of an automorphism) is split into
+//! digits `D_i`, and the digits' inner product with a switching key for
+//! `s'` yields an encryption of `c·s'` under `s`. Relinearization is the
+//! switch of `c̃2` under the identity permutation (`g = 1`); a rotation
+//! permutes the NTT-domain digits first.
+//!
+//! # Digits
+//!
+//! A key has `d` digits, `1 ≤ d ≤ k`. Digit `i` is a group `G_i` of
+//! consecutive `q` primes ([`digit_rows`]: the `k` primes split as evenly
+//! as possible) with product `Q_i`, and `h_i` is that group's CRT
+//! idempotent (`h_i ≡ 1 mod q_j` for `j ∈ G_i`, `≡ 0` for every other
+//! `j`), so `c ≡ Σ_i D_i·h_i (mod q)` for any `D_i ≡ c (mod Q_i)`. This is
+//! the decomposition of hybrid key switching (Han–Ki) without a special
+//! modulus.
+//!
+//! - **`d = k`**, one prime per digit: the paper's `WordDecomp`. `D_i` is
+//!   the residue `c mod q_i ∈ [0, q_i)`, spread to every prime by a
+//!   conditional subtraction. Relinearization keys always use it.
+//! - **`d < k`**: `D_i` is the centered integer `|D_i| ≤ Q_i/2` with
+//!   `D_i ≡ c (mod Q_i)`. Its residues on `G_i` are `c`'s own; on the
+//!   other primes they come from an HPS basis extension
+//!   (Halevi–Polyakov–Shoup) run on the `Kernels` seam
+//!   ([`hefv_math::dispatch::Kernels::hps_extend_cols`]), the same blocks
+//!   as `Mult`'s Lift. Every output column is the exact residue vector of
+//!   one integer `≡ c (mod Q_i)`; the rounded quotient picks the centered
+//!   one, or at a near-tie `|D_i| ≈ Q_i/2` its neighbour of the same
+//!   magnitude, and either satisfies the identity above.
+//!
+//! Galois keys use the context's digit count
+//! ([`FvContext::galois_digits`]): the fewest digits for which the
+//! worst-case [`crate::noise::NoiseModel`] still closes a slot sum at the
+//! declared depth. The key-switch noise grows with `d·Q_i`, so wider
+//! digits cost budget, and only rotations buy it back: a decomposition is
+//! `d·k` forward NTT rows, each SoP row sums `d` lines, and a key holds
+//! `2·d·k·n` residues.
+//!
+//! # Layout
 //!
 //! This module alone knows the table layout. Digits and keys are stored
-//! **digit-major** as `u32`: entry `(j·k + i)·n + u` holds digit `i`,
-//! residue `j`, coefficient `u`, so each residue row is `k` contiguous
+//! **digit-major** as `u32`: entry `(j·d + i)·n + u` holds digit `i`,
+//! residue `j`, coefficient `u`, so each residue row is `d` contiguous
 //! lines of `n`. A key for `σ_g` is stored **pre-permuted** by its own
 //! NTT-domain permutation `π = π_g`, `K'_i[π(t)] = K_i[t]` (a
 //! relinearization key, `g = 1`, is stored as is). Since
@@ -31,7 +64,7 @@
 //! (generated, assembled or decoded) and undone where it is read back.
 //! [`FvContext`] admits only primes in `[2^29, 2^31)`, so every residue
 //! fits a `u32` lane, and the kernel's partial folds keep its `u64` sums
-//! exact for any `k`.
+//! exact for any `d`.
 
 use crate::context::FvContext;
 use crate::error::Error;
@@ -41,27 +74,109 @@ use crate::rnspoly::{Domain, RnsPoly};
 use crate::sampler;
 use crate::scratch::Arena;
 use hefv_math::ntt::GaloisPermutation;
+use hefv_math::rns::{Extender, HpsPrecision, RnsBasis};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::Arc;
 
-/// A switching key from some `s'` to `s`: for each RNS digit `i`, the pair
+/// The `q` residue rows of digit `i` when `k` primes split into `d`
+/// digits of consecutive primes, as evenly as possible.
+///
+/// # Panics
+///
+/// Panics unless `i < d ≤ k`.
+pub(crate) fn digit_rows(k: usize, d: usize, i: usize) -> Range<usize> {
+    assert!(i < d && d <= k, "digit {i} of {d} over {k} primes");
+    i * k / d..(i + 1) * k / d
+}
+
+/// One digit of a grouped (`d < k`) decomposition: its rows, and the
+/// extension from its primes to the other `q` primes (rows before the
+/// group, then rows after it).
+#[derive(Debug)]
+pub(crate) struct DigitGroup {
+    rows: Range<usize>,
+    ext: Extender,
+}
+
+impl DigitGroup {
+    /// The groups of a `d`-digit decomposition of `base_q`.
+    pub(crate) fn split(base_q: &RnsBasis, d: usize) -> Vec<DigitGroup> {
+        let k = base_q.len();
+        let primes: Vec<u64> = base_q.moduli().iter().map(|m| m.value()).collect();
+        (0..d)
+            .map(|i| {
+                let rows = digit_rows(k, d, i);
+                let rest: Vec<u64> = primes[..rows.start]
+                    .iter()
+                    .chain(&primes[rows.end..])
+                    .copied()
+                    .collect();
+                let from = RnsBasis::new(&primes[rows.clone()]).expect("subset of a valid basis");
+                let to = RnsBasis::new(&rest).expect("subset of a valid basis");
+                DigitGroup {
+                    rows,
+                    ext: Extender::new(&from, &to),
+                }
+            })
+            .collect()
+    }
+}
+
+/// Writes digit `i` of a `d`-digit decomposition of `c` (coefficient
+/// domain) over every `q` prime into the flat `k·n` buffer `out`: the
+/// spread residue for `d = k`, else the group's own residues plus their
+/// basis extension to the other primes.
+///
+/// # Panics
+///
+/// Panics if `d` is neither `k` nor the context's Galois digit count.
+pub(crate) fn digit_into(ctx: &FvContext, c: &RnsPoly, d: usize, i: usize, out: &mut [u64]) {
+    let (k, n) = (c.k(), c.n());
+    if d == k {
+        ctx.spread_digit_into(c.row(i), out);
+        return;
+    }
+    assert_eq!(d, ctx.galois_digits(), "no {d}-digit decomposition");
+    let group = &ctx.digit_groups()[i];
+    let rows = group.rows.clone();
+    let (start, end) = (rows.start * n, rows.end * n);
+    let src = &c.flat()[start..end];
+    let rest = (k - rows.len()) * n;
+    hefv_math::dispatch::kernels().hps_extend_cols(
+        &group.ext,
+        src,
+        n,
+        0..n,
+        &mut out[..rest],
+        HpsPrecision::Fixed,
+    );
+    // The extension wrote the rows after the group right behind the rows
+    // before it: move them up past the group, then drop the group in.
+    out.copy_within(start..rest, end);
+    out[start..end].copy_from_slice(src);
+}
+
+/// A switching key from some `s'` to `s`: for each digit `i`, the pair
 /// `(ksk0_i, ksk1_i) = (−(a_i·s + e_i) + h_i·s', a_i)` in NTT domain, where
-/// `h_i` is the CRT idempotent (`h_i ≡ δ_ij mod q_j`). Stored only as the
-/// two digit-major `u32` tables the SoP reads, pre-permuted by the key's
-/// automorphism, beside that automorphism's scatter table.
+/// `h_i` is the idempotent of the digit's prime group (see the module
+/// docs). Stored only as the two digit-major `u32` tables the SoP reads,
+/// pre-permuted by the key's automorphism, beside that automorphism's
+/// scatter table.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct KeySwitchKey {
     k: usize,
+    d: usize,
     n: usize,
     /// `π_g⁻¹`: coefficient `u` of a stored line belongs to slot
     /// `scatter[u]` (shared through the context's permutation cache).
     scatter: Arc<GaloisPermutation>,
-    /// `ksk0` and `ksk1`, each `k·k·n` entries in the module's layout.
+    /// `ksk0` and `ksk1`, each `k·d·n` entries in the module's layout.
     tables: [Vec<u32>; 2],
 }
 
-/// The order in which a key's `2k` digit polynomials travel on the wire.
+/// The order in which a key's `2d` digit polynomials travel on the wire.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum WireOrder {
     /// `ksk0_i, ksk1_i` digit by digit (relinearization keys).
@@ -72,10 +187,10 @@ pub(crate) enum WireOrder {
 
 impl WireOrder {
     /// `(half, digit)` of each polynomial on the wire, in order.
-    fn polys(self, k: usize) -> impl Iterator<Item = (usize, usize)> {
-        (0..2 * k).map(move |x| match self {
+    fn polys(self, d: usize) -> impl Iterator<Item = (usize, usize)> {
+        (0..2 * d).map(move |x| match self {
             WireOrder::Pairs => (x % 2, x / 2),
-            WireOrder::Halves => (x / k, x % k),
+            WireOrder::Halves => (x / d, x % d),
         })
     }
 }
@@ -90,42 +205,46 @@ fn inverse_exponent(g: usize, n: usize) -> usize {
 }
 
 impl KeySwitchKey {
-    /// An all-zero key for exponent `g` (already validated).
-    fn zeroed(ctx: &FvContext, g: usize) -> Self {
+    /// An all-zero `d`-digit key for exponent `g` (already validated).
+    fn zeroed(ctx: &FvContext, g: usize, d: usize) -> Self {
         let (k, n) = (ctx.params().k(), ctx.params().n);
         KeySwitchKey {
             k,
+            d,
             n,
             scatter: ctx.automorphism_table(inverse_exponent(g, n)),
-            tables: [vec![0; k * k * n], vec![0; k * k * n]],
+            tables: [vec![0; k * d * n], vec![0; k * d * n]],
         }
     }
 
-    /// Generates a key switching `target` (`s'` in NTT domain) to `s`, to
-    /// be applied after `σ_g` (`g = 1` for relinearization).
+    /// Generates a `d`-digit key switching `target` (`s'` in NTT domain)
+    /// to `s`, to be applied after `σ_g` (`g = 1` for relinearization).
     ///
     /// # Panics
     ///
-    /// Panics if `g` is not a valid exponent.
+    /// Panics if `g` is not a valid exponent or `d` is outside `1..=k`.
     pub(crate) fn generate<R: Rng + ?Sized>(
         ctx: &FvContext,
         sk: &SecretKey,
         target: &RnsPoly,
         g: usize,
+        d: usize,
         rng: &mut R,
     ) -> Self {
         let basis = ctx.base_q();
-        let mut key = Self::zeroed(ctx, g);
-        for i in 0..key.k {
+        let mut key = Self::zeroed(ctx, g, d);
+        for i in 0..d {
             let mut a = sampler::uniform_poly(rng, basis, key.n);
             a.ntt_forward(ctx.ntt_q());
             let mut e = sampler::gaussian_poly(rng, basis, key.n, ctx.params().sigma);
             e.ntt_forward(ctx.ntt_q());
             let mut key0 = a.pointwise_mul(sk.s_ntt(), basis).add(&e, basis).neg(basis);
-            // + h_i · s': the idempotent touches only row i.
-            let m = *basis.modulus(i);
-            for (d, &x) in key0.row_mut(i).iter_mut().zip(target.row(i)) {
-                *d = m.add(*d, x);
+            // + h_i · s': the idempotent touches only the group's rows.
+            for j in digit_rows(key.k, d, i) {
+                let m = *basis.modulus(j);
+                for (x, &y) in key0.row_mut(j).iter_mut().zip(target.row(j)) {
+                    *x = m.add(*x, y);
+                }
             }
             key.set_digit(0, i, &key0);
             key.set_digit(1, i, &a);
@@ -133,25 +252,26 @@ impl KeySwitchKey {
         key
     }
 
-    /// Builds the key for exponent `g` from its natural-order digit
-    /// polynomials.
+    /// Builds the `d`-digit key for exponent `g` from its natural-order
+    /// digit polynomials (`d = k` for relinearization, the context's
+    /// [`FvContext::galois_digits`] for a Galois key).
     ///
     /// # Errors
     ///
     /// Returns [`Error::Wire`] when the digit vectors disagree with the
-    /// context's shape (digit count, residue count, ring degree, NTT
-    /// domain), hold a residue outside `[0, q_j)`, or `g` is not a valid
-    /// exponent.
+    /// shape (digit count `d`, residue count, ring degree, NTT domain),
+    /// hold a residue outside `[0, q_j)`, or `g` is not a valid exponent.
     pub(crate) fn from_parts(
         ctx: &FvContext,
         g: usize,
+        d: usize,
         ksk0: Vec<RnsPoly>,
         ksk1: Vec<RnsPoly>,
     ) -> Result<Self, Error> {
         let (k, n) = (ctx.params().k(), ctx.params().n);
-        if ksk0.len() != k || ksk1.len() != k {
+        if ksk0.len() != d || ksk1.len() != d {
             return Err(Error::Wire(format!(
-                "switching key has {}+{} digits, context wants {k}",
+                "switching key has {}+{} digits, context wants {d}",
                 ksk0.len(),
                 ksk1.len()
             )));
@@ -159,7 +279,7 @@ impl KeySwitchKey {
         if !is_valid_exponent(g, n) {
             return Err(Error::Wire(format!("invalid Galois exponent {g}")));
         }
-        let mut key = Self::zeroed(ctx, g);
+        let mut key = Self::zeroed(ctx, g, d);
         for (half, polys) in [ksk0, ksk1].iter().enumerate() {
             for (i, p) in polys.iter().enumerate() {
                 if p.k() != k || p.n() != n || p.domain() != Domain::Ntt {
@@ -182,8 +302,8 @@ impl KeySwitchKey {
     }
 
     /// The table range of digit `i`, residue `j`.
-    fn line(&self, i: usize, j: usize) -> std::ops::Range<usize> {
-        let at = (j * self.k + i) * self.n;
+    fn line(&self, i: usize, j: usize) -> Range<usize> {
+        let at = (j * self.d + i) * self.n;
         at..at + self.n
     }
 
@@ -200,10 +320,14 @@ impl KeySwitchKey {
         }
     }
 
-    /// `(k, n)`: digits (= `q` primes, = residues per digit) and ring
-    /// degree.
+    /// `(k, n)`: residues per digit and ring degree.
     pub(crate) fn shape(&self) -> (usize, usize) {
         (self.k, self.n)
+    }
+
+    /// Digit count `d`.
+    pub(crate) fn digits(&self) -> usize {
+        self.d
     }
 
     /// Digit `i` of `ksk0` (`half = 0`) or `ksk1` (`half = 1`) as an owned
@@ -221,15 +345,15 @@ impl KeySwitchKey {
         p
     }
 
-    /// Bytes of key material held (`2·k²·n` residues of 4 bytes).
+    /// Bytes of key material held (`2·k·d·n` residues of 4 bytes).
     pub(crate) fn bytes(&self) -> usize {
         (self.tables[0].len() + self.tables[1].len()) * 4
     }
 
-    /// Appends the `2k` digit polynomials in wire format (see
+    /// Appends the `2d` digit polynomials in wire format (see
     /// [`crate::wire`]), in `order`.
     pub(crate) fn encode(&self, order: WireOrder, out: &mut Vec<u8>) {
-        for (half, i) in order.polys(self.k) {
+        for (half, i) in order.polys(self.d) {
             crate::wire::put_key_coeffs(
                 out,
                 Domain::Ntt,
@@ -238,8 +362,8 @@ impl KeySwitchKey {
         }
     }
 
-    /// Reads `2k` digit polynomials in `order` through `read` and builds
-    /// the key for exponent `g`.
+    /// Reads `2d` digit polynomials in `order` through `read` and builds
+    /// the `d`-digit key for exponent `g`.
     ///
     /// # Errors
     ///
@@ -247,52 +371,56 @@ impl KeySwitchKey {
     pub(crate) fn decode(
         ctx: &FvContext,
         g: usize,
+        d: usize,
         order: WireOrder,
         mut read: impl FnMut() -> Result<RnsPoly, Error>,
     ) -> Result<Self, Error> {
-        let k = ctx.params().k();
-        let mut halves = [Vec::with_capacity(k), Vec::with_capacity(k)];
-        for (half, _) in order.polys(k) {
+        let mut halves = [Vec::with_capacity(d), Vec::with_capacity(d)];
+        for (half, _) in order.polys(d) {
             halves[half].push(read()?);
         }
         let [ksk0, ksk1] = halves;
-        Self::from_parts(ctx, g, ksk0, ksk1)
+        Self::from_parts(ctx, g, d, ksk0, ksk1)
     }
 }
 
-/// The σ-independent half of a key switch: the NTT-domain digit
+/// The σ-independent half of a key switch: the NTT-domain `d`-digit
 /// decomposition of one polynomial, in the module's digit-major layout,
 /// held in an arena buffer.
 #[derive(Debug)]
-pub(crate) struct Digits(Vec<u32>);
+pub(crate) struct Digits {
+    lines: Vec<u32>,
+    d: usize,
+}
 
 impl Digits {
-    /// Decomposes `c` (coefficient domain), drawing every buffer from
-    /// `arena`: each digit is spread across the residues and
-    /// forward-transformed in a `k × n` scratch, then narrowed into its
-    /// `k` lines of the table (one contiguous copy per row).
-    pub(crate) fn new_in(ctx: &FvContext, c: &RnsPoly, arena: &Arena) -> Self {
+    /// Decomposes `c` (coefficient domain) into `d` digits, drawing every
+    /// buffer from `arena`: each digit is written across the residues
+    /// ([`digit_into`]) and forward-transformed in a `k × n` scratch, then
+    /// narrowed into its `k` lines of the table (one contiguous copy per
+    /// row). That is `d·k` forward NTT rows.
+    pub(crate) fn new_in(ctx: &FvContext, c: &RnsPoly, d: usize, arena: &Arena) -> Self {
         let (k, n) = (c.k(), c.n());
         assert_eq!(c.domain(), Domain::Coefficient, "decomposition domain");
-        let mut digits = arena.take32(k * k * n);
+        let mut lines = arena.take32(d * k * n);
         let mut scratch = arena.take_poly(k, n, Domain::Coefficient);
-        for i in 0..k {
-            ctx.spread_digit_into(c.row(i), scratch.flat_mut());
+        for i in 0..d {
+            digit_into(ctx, c, d, i, scratch.flat_mut());
             for (j, row) in scratch.flat_mut().chunks_mut(n).enumerate() {
                 ctx.ntt_q()[j].forward(row);
-                let at = (j * k + i) * n;
-                for (d, &v) in digits[at..at + n].iter_mut().zip(row.iter()) {
-                    *d = v as u32;
+                let at = (j * d + i) * n;
+                for (x, &v) in lines[at..at + n].iter_mut().zip(row.iter()) {
+                    *x = v as u32;
                 }
             }
         }
         arena.recycle(scratch);
-        Digits(digits)
+        Digits { lines, d }
     }
 
     /// Returns the digit buffer to `arena`.
     pub(crate) fn recycle(self, arena: &Arena) {
-        arena.put32(self.0);
+        arena.put32(self.lines);
     }
 
     /// Accumulates one switch's inner product into the NTT-domain
@@ -307,7 +435,8 @@ impl Digits {
     ///
     /// # Panics
     ///
-    /// Panics if the key's shape differs from the digits'.
+    /// Panics if the key's shape (digit count included) differs from the
+    /// digits'.
     pub(crate) fn sop_acc(
         &self,
         ctx: &FvContext,
@@ -316,15 +445,16 @@ impl Digits {
         acc0: &mut RnsPoly,
         acc1: &mut RnsPoly,
     ) {
-        let (k, n) = (key.k, key.n);
-        assert_eq!(self.0.len(), k * k * n, "key shape mismatch");
+        let (k, d, n) = (key.k, key.d, key.n);
+        assert_eq!(self.d, d, "digit count mismatch");
+        assert_eq!(self.lines.len(), k * d * n, "key shape mismatch");
         let kernels = hefv_math::dispatch::kernels();
         for j in 0..k {
-            let lines = j * k * n..(j + 1) * k * n;
+            let lines = j * d * n..(j + 1) * d * n;
             kernels.sop_narrow_row(
                 ctx.base_q().modulus(j),
                 key.scatter.table(),
-                &self.0[lines.clone()],
+                &self.lines[lines.clone()],
                 &key.tables[0][lines.clone()],
                 &key.tables[1][lines],
                 c0_ntt.map(|c0| c0.row(j)),

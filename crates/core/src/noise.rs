@@ -8,6 +8,7 @@
 use crate::context::FvContext;
 use crate::encrypt::{decrypt_phase, Ciphertext};
 use crate::keys::SecretKey;
+use crate::params::FvParams;
 use hefv_math::bigint::{center, UBig};
 
 /// Noise statistics of a ciphertext.
@@ -67,11 +68,24 @@ pub fn measure(ctx: &FvContext, sk: &SecretKey, ct: &Ciphertext) -> NoiseReport 
     }
 }
 
+/// The multiplicative depth the paper's parameter set targets (§III-A).
+/// The Galois digit count is chosen so that a slot sum still closes at
+/// the end of a chain this deep (or as deep as the parameters support,
+/// when that is less).
+pub const DECLARED_DEPTH: u32 = 4;
+
 /// Worst-case analytic noise model (after the FV paper's Lemmas 1–4,
-/// adapted to the RNS-digit relinearization gadget): predicts upper bounds
-/// on noise magnitude per operation and the supported multiplicative
-/// depth. Measurements ([`measure`]) always sit below these bounds; the
-/// test suite checks both directions.
+/// adapted to the digit gadget of the key-switching core): predicts upper
+/// bounds on noise magnitude per operation and the supported
+/// multiplicative depth. Measurements ([`measure`]) always sit below these
+/// bounds; the test suite checks both directions.
+///
+/// A key switch with `d` digits of magnitude at most `w` adds
+/// `d·n·w·B`. Relinearization (inside [`NoiseModel::after_mul`]) uses one
+/// digit per prime, `w` the largest residue; Galois key switches
+/// ([`NoiseModel::after_key_switch`]) use the context's
+/// [`FvContext::galois_digits`], whose grouped digits are centered
+/// (`w = max_i Q_i/2`).
 #[derive(Debug, Clone, Copy)]
 pub struct NoiseModel {
     n: f64,
@@ -79,33 +93,76 @@ pub struct NoiseModel {
     sigma: f64,
     /// `log2 q`.
     log_q: f64,
-    /// Relinearization digits and word size.
-    digits: f64,
-    word: f64,
+    /// The key-switch term `d·n·w·B` of relinearization (one digit per
+    /// prime) and of a Galois key switch (`galois_digits` digits).
+    relin_switch: f64,
+    galois_switch: f64,
 }
 
 impl NoiseModel {
     /// Builds the model from a context.
     pub fn new(ctx: &FvContext) -> Self {
+        Self::for_params(ctx.params(), ctx.galois_digits())
+    }
+
+    /// The model of `params` with `galois_digits`-digit Galois keys (a
+    /// context's own model is [`NoiseModel::new`]; this one prices other
+    /// digit counts).
+    pub fn for_params(params: &FvParams, galois_digits: usize) -> Self {
+        let q = &params.q_primes;
+        let (n, b) = (params.n as f64, 12.0 * params.sigma);
+        let switch = |d: usize| d as f64 * n * Self::digit_word(q, d) * b;
         NoiseModel {
-            n: ctx.params().n as f64,
-            t: ctx.params().t as f64,
-            sigma: ctx.params().sigma,
-            log_q: ctx.base_q().product().to_f64().log2(),
-            digits: ctx.params().k() as f64,
-            word: 2f64.powi(30),
+            n,
+            t: params.t as f64,
+            sigma: params.sigma,
+            log_q: q.iter().map(|&p| (p as f64).log2()).sum(),
+            relin_switch: switch(q.len()),
+            galois_switch: switch(galois_digits),
         }
     }
 
-    /// Tail bound of the error distribution (`12σ`).
-    fn b(&self) -> f64 {
-        12.0 * self.sigma
+    /// The largest digit magnitude `w` of a `d`-digit decomposition over
+    /// the primes `q`: a residue below `max(q_i, 2^30)` for one prime per
+    /// digit, else half the largest group product (grouped digits are
+    /// centered; see `keyswitch`'s module docs).
+    fn digit_word(q: &[u64], d: usize) -> f64 {
+        let k = q.len();
+        if d == k {
+            let max = q.iter().copied().max().unwrap_or(0) as f64;
+            return max.max(2f64.powi(30));
+        }
+        (0..d)
+            .map(|i| {
+                let rows = crate::keyswitch::digit_rows(k, d, i);
+                q[rows].iter().map(|&p| p as f64).product::<f64>() / 2.0
+            })
+            .fold(0.0, f64::max)
+    }
+
+    /// The Galois digit count for `params`: the fewest digits `d < k` for
+    /// which a full slot sum of `log2(n)` rounds, applied to the output of
+    /// a chain of `min(DECLARED_DEPTH, supported_depth)` squarings, stays
+    /// under the decryption threshold — else `k`. A few dozen `f64`
+    /// operations per candidate.
+    pub fn galois_digits_for(params: &FvParams) -> usize {
+        let k = params.k();
+        let rounds = crate::galois::slot_sum_rounds(params.n);
+        (1..k)
+            .find(|&d| {
+                let model = Self::for_params(params, d);
+                let depth = DECLARED_DEPTH.min(model.supported_depth());
+                let noise = model.after_sum_slots(model.after_squarings(depth), rounds);
+                noise.log2() < model.threshold_bits()
+            })
+            .unwrap_or(k)
     }
 
     /// Worst-case fresh-encryption noise magnitude.
     pub fn fresh(&self) -> f64 {
-        // v = Δm + e1 + e2·s + u·e_pk: ≤ B(2n + 1) + t.
-        self.b() * (2.0 * self.n + 1.0) + self.t
+        // v = Δm + e1 + e2·s + u·e_pk: ≤ B(2n + 1) + t, with the error
+        // tail bound B = 12σ.
+        12.0 * self.sigma * (2.0 * self.n + 1.0) + self.t
     }
 
     /// Noise after a homomorphic addition of noises `n1`, `n2`.
@@ -114,12 +171,11 @@ impl NoiseModel {
     }
 
     /// Noise after a homomorphic multiplication of noises `n1`, `n2`
-    /// (tensor + scale + RNS-digit relinearization).
+    /// (tensor + scale + relinearization, one digit per prime).
     pub fn after_mul(&self, n1: f64, n2: f64) -> f64 {
         let tensor =
             2.0 * self.n * self.t * (n1 + n2 + 1.0) + 4.0 * self.n * self.n * self.t * self.t;
-        let relin = self.digits * self.n * self.word * self.b();
-        tensor + relin
+        tensor + self.relin_switch
     }
 
     /// Noise after multiplying by a plaintext polynomial: the operand
@@ -128,11 +184,23 @@ impl NoiseModel {
         n1 * self.t * self.n
     }
 
-    /// Noise after one key switch (rotation): the operand noise plus the
-    /// RNS-digit SoP term — the same `digits·n·w·B` term relinearization
-    /// contributes inside [`NoiseModel::after_mul`].
+    /// Noise after one Galois key switch (rotation): the operand noise
+    /// plus the SoP term `d·n·w·B` of the Galois digits.
     pub fn after_key_switch(&self, n1: f64) -> f64 {
-        n1 + self.digits * self.n * self.word * self.b()
+        n1 + self.galois_switch
+    }
+
+    /// Noise after a slot sum of `rounds` doubling rounds: each round
+    /// key-switches the accumulator and adds it back on,
+    /// `acc ← 2·acc + ks + t` (a hoisted group of `J` rounds adds `2^J`
+    /// copies of its input and `2^J − 1` switches, which this bounds).
+    pub fn after_sum_slots(&self, n1: f64, rounds: usize) -> f64 {
+        (0..rounds).fold(n1, |acc, _| self.after_add(self.after_key_switch(acc), acc))
+    }
+
+    /// Noise after `depth` chained squarings of a fresh ciphertext.
+    pub fn after_squarings(&self, depth: u32) -> f64 {
+        (0..depth).fold(self.fresh(), |noise, _| self.after_mul(noise, noise))
     }
 
     /// The decryption-failure threshold `q / (2t)` in bits.
@@ -143,16 +211,9 @@ impl NoiseModel {
     /// Maximum multiplicative depth the parameters support under the
     /// worst-case model (a chain of squarings from fresh ciphertexts).
     pub fn supported_depth(&self) -> u32 {
-        let mut noise = self.fresh();
-        let mut depth = 0;
-        while depth < 64 {
-            noise = self.after_mul(noise, noise);
-            if noise.log2() >= self.threshold_bits() {
-                break;
-            }
-            depth += 1;
-        }
-        depth
+        (0..64)
+            .find(|&depth| self.after_squarings(depth + 1).log2() >= self.threshold_bits())
+            .unwrap_or(64)
     }
 }
 

@@ -117,7 +117,9 @@ const KEY_MAGIC: u32 = 0x4845_4B59;
 
 const TAG_PUBLIC: u8 = 0;
 const TAG_RELIN: u8 = 1;
-const TAG_GALOIS_SET: u8 = 2;
+/// Tag 2 was the Galois key-set layout before keys carried a digit count;
+/// the tag check refuses it.
+const TAG_GALOIS_SET: u8 = 3;
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -293,19 +295,27 @@ pub fn decode_relin_key(ctx: &FvContext, bytes: &[u8]) -> Result<crate::keys::Re
             ctx.params().k()
         )));
     }
-    let key = KeySwitchKey::decode(ctx, 1, WireOrder::Pairs, || read_key_poly(ctx, &mut cur))?;
+    let key = KeySwitchKey::decode(ctx, 1, digits, WireOrder::Pairs, || {
+        read_key_poly(ctx, &mut cur)
+    })?;
     cur.finish()?;
     Ok(crate::keys::RelinKey { key })
 }
 
-/// Serializes a Galois key set: every switching key's digit polynomials
-/// (all `ksk0`, then all `ksk1`) plus the chain/group index structure the
-/// slot-sum fold walks.
+/// Serializes a Galois key set: the digit count `d`, every switching
+/// key's `2d` digit polynomials (all `ksk0`, then all `ksk1`) and the
+/// chain/group index structure the slot-sum fold walks.
+///
+/// ```text
+/// magic u32 | tag=3 u8 | k u32 | n u32 | d u16 | keys u16
+///   | keys × (g u32 | 2d key polynomials)
+///   | chain u16 | chain × u16 | groups u16 | groups × (len u16 | len × u16)
+/// ```
 pub fn encode_galois_key_set(gks: &crate::galois::GaloisKeySet) -> Vec<u8> {
     let mut out = Vec::new();
-    let first = gks.keys().first().expect("key set is never empty");
-    let (k, n) = first.key.shape();
+    let (k, n) = gks.keys()[0].key.shape();
     put_key_header(&mut out, TAG_GALOIS_SET, k, n);
+    put_u16(&mut out, gks.digits() as u16);
     put_u16(&mut out, gks.keys().len() as u16);
     for key in gks.keys() {
         put_u32(&mut out, key.g as u32);
@@ -329,19 +339,30 @@ pub fn encode_galois_key_set(gks: &crate::galois::GaloisKeySet) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// See [`decode_public_key`]; additionally rejects invalid automorphism
-/// exponents and chain/group indices past the key vector.
+/// See [`decode_public_key`]; additionally rejects a blob in the older
+/// layout without a digit count (tag 2), a digit count other than the
+/// context's [`FvContext::galois_digits`], invalid automorphism exponents
+/// and chain/group indices past the key vector.
 pub fn decode_galois_key_set(
     ctx: &FvContext,
     bytes: &[u8],
 ) -> Result<crate::galois::GaloisKeySet, Error> {
     let mut cur = Cursor { bytes, off: 0 };
     read_key_header(ctx, &mut cur, TAG_GALOIS_SET)?;
+    let digits = cur.u16()? as usize;
+    if digits != ctx.galois_digits() {
+        return Err(Error::Wire(format!(
+            "galois key set has {digits} digits, context wants {}",
+            ctx.galois_digits()
+        )));
+    }
     let n_keys = cur.u16()? as usize;
     let mut keys = Vec::with_capacity(n_keys);
     for _ in 0..n_keys {
         let g = cur.u32()? as usize;
-        let key = KeySwitchKey::decode(ctx, g, WireOrder::Halves, || read_key_poly(ctx, &mut cur))?;
+        let key = KeySwitchKey::decode(ctx, g, digits, WireOrder::Halves, || {
+            read_key_poly(ctx, &mut cur)
+        })?;
         keys.push(crate::galois::GaloisKey { g, key });
     }
     let chain_len = cur.u16()? as usize;

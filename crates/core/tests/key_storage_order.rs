@@ -3,7 +3,8 @@
 //! that may leak: a key built by generation, by `from_parts` or by a wire
 //! decode presents the same natural-order digit polynomials and encodes
 //! to the same bytes, and the natural-order digits satisfy the key
-//! equation `ksk0_i + ksk1_i·s = h_i·σ_g(s) − e_i` with small `e_i`.
+//! equation `ksk0_i + ksk1_i·s = h_i·σ_g(s) − e_i` with small `e_i`,
+//! where `h_i` is the idempotent of digit `i`'s prime group.
 
 use hefv_core::galois::{apply_automorphism, GaloisKey, GaloisKeySet};
 use hefv_core::prelude::*;
@@ -59,9 +60,12 @@ fn generated_assembled_and_decoded_keys_agree() {
         let basis = ctx.base_q();
         for i in 0..key.digits() {
             let mut e = ksk0[i].add(&ksk1[i].pointwise_mul(sk.s_ntt(), basis), basis);
-            let m = *basis.modulus(i);
-            for (x, &y) in e.row_mut(i).iter_mut().zip(s_g.row(i)) {
-                *x = m.sub(*x, y);
+            // h_i is 1 on the digit's prime group and 0 elsewhere.
+            for j in ctx.digit_rows(key.digits(), i) {
+                let m = *basis.modulus(j);
+                for (x, &y) in e.row_mut(j).iter_mut().zip(s_g.row(j)) {
+                    *x = m.sub(*x, y);
+                }
             }
             e.ntt_inverse(ctx.ntt_q());
             assert!(

@@ -2,7 +2,10 @@
 //! runs one decomposition and one narrow sum-of-products routine. These
 //! tests pin that routine **bit-identical** to per-digit oracles built
 //! from the generic `pointwise_mul_acc` kernel, which reduce after every
-//! product and never touch the 32-bit key tables' layout.
+//! product and never touch the 32-bit key tables' layout. The rotation
+//! oracle builds each grouped Galois digit by long-integer CRT over its
+//! primes (the centered integer), independent of the HPS extension the
+//! library runs.
 //!
 //! The shapes cover the toy and medium sets, the paper's n = 4096 set,
 //! and three n = 64 bases whose digit dots can exceed `u64` without the
@@ -22,18 +25,23 @@ use hefv_math::primes::ntt_primes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+mod common;
+use common::digit_oracle;
+
+/// An n = 64, t = 2 set over `k` `bits`-bit `q` primes.
+fn custom(name: &str, bits: u32, k: usize) -> FvParams {
+    let ps = ntt_primes(bits, 64, 2 * k + 1).unwrap();
+    FvParams {
+        name: name.into(),
+        n: 64,
+        q_primes: ps[..k].to_vec(),
+        p_primes: ps[k..].to_vec(),
+        t: 2,
+        sigma: 3.2,
+    }
+}
+
 fn shapes() -> Vec<FvParams> {
-    let custom = |name: &str, bits: u32, k: usize| {
-        let ps = ntt_primes(bits, 64, 2 * k + 1).unwrap();
-        FvParams {
-            name: name.into(),
-            n: 64,
-            q_primes: ps[..k].to_vec(),
-            p_primes: ps[k..].to_vec(),
-            t: 2,
-            sigma: 3.2,
-        }
-    };
     vec![
         FvParams::insecure_toy(),
         FvParams::insecure_medium(),
@@ -98,9 +106,8 @@ fn rotate_oracle(ctx: &FvContext, ct: &Ciphertext, key: &GaloisKey) -> Ciphertex
     let (k, n) = (ctx.params().k(), ctx.params().n);
     let mut acc0 = RnsPoly::zero_in(k, n, Domain::Ntt);
     let mut acc1 = RnsPoly::zero_in(k, n, Domain::Ntt);
-    for i in 0..k {
-        let mut digit =
-            RnsPoly::from_flat(ctx.spread_digit(ct.c1().row(i)), k, Domain::Coefficient);
+    for i in 0..key.digits() {
+        let mut digit = digit_oracle(ctx, ct.c1(), key.digits(), i);
         digit.ntt_forward(ctx.ntt_q());
         let permuted = apply_automorphism_ntt(ctx, &digit, key.g);
         acc0.pointwise_mul_acc(&permuted, &key.ksk0(i), basis);
@@ -194,6 +201,7 @@ fn rotations_and_slot_sums_match_the_oracles() {
         let ct = f.encrypt(&(0..n as u64).map(|i| i * 7 + 3).collect::<Vec<_>>());
         let keys = GaloisKeySet::for_slot_sum(&f.ctx, &f.sk, &mut f.rng);
         let ctx = &f.ctx;
+        assert_eq!(keys.digits(), ctx.galois_digits(), "{name}: key digits");
 
         let picked: Vec<&GaloisKey> = keys.keys().iter().take(3).collect();
         let hoisted = HoistedCiphertext::new(ctx, &ct);
@@ -235,11 +243,14 @@ fn rotations_and_slot_sums_match_the_oracles() {
 fn a_relin_key_is_a_g1_galois_key() {
     // Relinearization is the g = 1 key switch of c̃2: rotating (d0, d2)
     // with the relinearization key's digits and adding d1 reproduces it.
-    let mut f = fixture(FvParams::insecure_medium(), 0x91);
+    // Galois keys share the relinearization shape only where grouped
+    // digits cannot close a slot sum: on two primes, one digit of both.
+    let mut f = fixture(custom("30-bit k=2", 30, 2), 0x91);
     let a = f.encrypt(&[1, 1, 0, 1]);
     let ctx = &f.ctx;
-    let t = eval::tensor(ctx, &a, &a, Backend::default());
     let k = ctx.params().k();
+    assert_eq!(ctx.galois_digits(), k, "one digit per prime");
+    let t = eval::tensor(ctx, &a, &a, Backend::default());
     let as_galois = GaloisKey::from_parts(
         ctx,
         1,
@@ -255,4 +266,26 @@ fn a_relin_key_is_a_g1_galois_key() {
     let (c0, c1) = switched.into_parts();
     let via_rotation = Ciphertext::from_parts(c0, c1.add(&t.d1, ctx.base_q()));
     assert_eq!(eval::relinearize(ctx, &t, &f.rlk), via_rotation);
+}
+
+#[test]
+fn a_galois_key_has_the_context_digit_count() {
+    // Where Galois digits group primes, a key with one digit per prime
+    // (a relinearization key's shape) is refused, so every hoist, slot
+    // sum and wire decode meets keys of one digit count.
+    let f = fixture(FvParams::insecure_medium(), 0x92);
+    let ctx = &f.ctx;
+    let k = ctx.params().k();
+    assert!(ctx.galois_digits() < k, "grouped Galois digits");
+    let refused = GaloisKey::from_parts(
+        ctx,
+        1,
+        (0..k).map(|i| f.rlk.rlk0(i)).collect(),
+        (0..k).map(|i| f.rlk.rlk1(i)).collect(),
+    );
+    assert!(
+        matches!(&refused, Err(Error::Wire(msg)) if msg.contains("digits")),
+        "{:?}",
+        refused.err()
+    );
 }

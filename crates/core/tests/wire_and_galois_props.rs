@@ -8,6 +8,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::OnceLock;
 
+mod common;
+use common::digit_oracle;
+
 struct Fix {
     ctx: FvContext,
     sk: SecretKey,
@@ -128,12 +131,8 @@ proptest! {
         let kk = ctx.params().k();
         let mut acc0 = RnsPoly::zero_in(kk, n, Domain::Ntt);
         let mut acc1 = RnsPoly::zero_in(kk, n, Domain::Ntt);
-        for i in 0..kk {
-            let mut digit = RnsPoly::from_flat(
-                ctx.spread_digit(ct.c1().row(i)),
-                kk,
-                Domain::Coefficient,
-            );
+        for i in 0..key.digits() {
+            let mut digit = digit_oracle(&ctx, ct.c1(), key.digits(), i);
             digit.ntt_forward(ctx.ntt_q());
             let permuted = apply_automorphism_ntt(&ctx, &digit, g);
             acc0.pointwise_mul_acc(&permuted, &key.ksk0(i), basis);

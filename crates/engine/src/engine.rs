@@ -348,15 +348,8 @@ impl Shared {
                 EvalOp::MulPlain(a, _) => self.noise.after_mul_plain(mag(&noise, a)),
                 EvalOp::Rotate(a, _) => self.noise.after_key_switch(mag(&noise, a)),
                 EvalOp::SumSlots(a) => {
-                    // Same per-round recurrence the executor applies:
-                    // each round key-switches the accumulator and adds
-                    // it back on.
                     let rounds = keys.galois.as_ref().map_or(0, |set| set.rounds());
-                    let mut acc = mag(&noise, a);
-                    for _ in 0..rounds {
-                        acc = self.noise.after_add(self.noise.after_key_switch(acc), acc);
-                    }
-                    acc
+                    self.noise.after_sum_slots(mag(&noise, a), rounds)
                 }
             };
             noise.push(bits);
@@ -887,18 +880,9 @@ fn execute(
                     tenant: req.tenant,
                     which: "galois",
                 })?;
-                let rounds = set.rounds();
-                // Each round adds the rotated (key-switched) ciphertext
-                // back onto the accumulator.
-                let mut acc = mag(&noise, a);
-                for _ in 0..rounds {
-                    acc = shared
-                        .noise
-                        .after_add(shared.noise.after_key_switch(acc), acc);
-                }
                 (
                     sum_slots_in(ctx, val(&req.inputs, &values, a), set, arena),
-                    acc,
+                    shared.noise.after_sum_slots(mag(&noise, a), set.rounds()),
                 )
             }
         };

@@ -67,6 +67,10 @@ const STATS_MAGIC: u32 = 0x4845_5653; // "HEVS"
 const KEY_MAGIC: u32 = 0x4845_564B; // "HEVK"
 const SNAP_MAGIC: u32 = 0x4845_5652; // "HEVR"
 const VERSION: u16 = 2;
+/// `HEVK` and `HEVR` frames embed core key blobs. Version 3 carries Galois
+/// key sets with their digit count; version-2 frames (one digit per
+/// prime) are refused as unsupported.
+const KEY_VERSION: u16 = 3;
 
 /// Flag bit: the header carries a relative virtual-clock deadline.
 const FLAG_DEADLINE: u16 = 1;
@@ -895,12 +899,12 @@ pub fn decode_stats_response(bytes: &[u8]) -> Result<(StatsKind, String), Engine
 // over the same envelope protocol as requests:
 //
 // ```text
-// key-push := "HEVK" u32 | version=2 u16 | dir=0|2 u8 | sections u8
+// key-push := "HEVK" u32 | version=3 u16 | dir=0|2 u8 | sections u8
 //           | tenant u64
 //           | [sections bit 0] len u32 | core-wire public key
 //           | [sections bit 1] len u32 | core-wire relin key
 //           | [sections bit 2] len u32 | core-wire Galois key set
-// key-ack  := "HEVK" u32 | version=2 u16 | dir=1 u8 | status u8
+// key-ack  := "HEVK" u32 | version=3 u16 | dir=1 u8 | status u8
 //           | tenant u64
 //           | [status=1] len u32 | utf-8 error message
 // ```
@@ -942,7 +946,7 @@ pub fn encode_replica_key_push(tenant: TenantId, keys: &TenantKeys) -> Vec<u8> {
 fn encode_key_push_dir(tenant: TenantId, keys: &TenantKeys, dir: u8) -> Vec<u8> {
     let mut out = Vec::new();
     put_u32(&mut out, KEY_MAGIC);
-    put_u16(&mut out, VERSION);
+    put_u16(&mut out, KEY_VERSION);
     out.push(dir);
     let mut sections = 0;
     if keys.pk.is_some() {
@@ -978,13 +982,13 @@ fn encode_key_push_dir(tenant: TenantId, keys: &TenantKeys, dir: u8) -> Vec<u8> 
 /// # Errors
 ///
 /// [`EngineError::Core`]`(`[`Error::Wire`]`)` when the header is not a
-/// well-formed v2 `HEVK` header.
+/// well-formed v3 `HEVK` header.
 pub fn peek_key_tenant(bytes: &[u8]) -> Result<TenantId, EngineError> {
     let mut c = Cursor { bytes, off: 0 };
     if c.u32()? != KEY_MAGIC {
         return Err(wire_err("bad key-transfer magic"));
     }
-    if c.u16()? != VERSION {
+    if c.u16()? != KEY_VERSION {
         return Err(wire_err("unsupported key-transfer version"));
     }
     c.u8()?; // direction
@@ -998,14 +1002,14 @@ pub fn peek_key_tenant(bytes: &[u8]) -> Result<TenantId, EngineError> {
 /// # Errors
 ///
 /// [`EngineError::Core`]`(`[`Error::Wire`]`)` when the frame is not a
-/// well-formed v2 `HEVK` push header (acks included — they carry no
+/// well-formed v3 `HEVK` push header (acks included — they carry no
 /// role).
 pub fn peek_key_push_replica(bytes: &[u8]) -> Result<bool, EngineError> {
     let mut c = Cursor { bytes, off: 0 };
     if c.u32()? != KEY_MAGIC {
         return Err(wire_err("bad key-transfer magic"));
     }
-    if c.u16()? != VERSION {
+    if c.u16()? != KEY_VERSION {
         return Err(wire_err("unsupported key-transfer version"));
     }
     match c.u8()? {
@@ -1036,7 +1040,7 @@ pub fn decode_key_push(
     if c.u32()? != KEY_MAGIC {
         return Err(wire_err("bad key-transfer magic"));
     }
-    if c.u16()? != VERSION {
+    if c.u16()? != KEY_VERSION {
         return Err(wire_err("unsupported key-transfer version"));
     }
     let dir = c.u8()?;
@@ -1077,7 +1081,7 @@ pub fn decode_key_push(
 pub fn encode_key_ack(tenant: TenantId, outcome: Result<(), &str>) -> Vec<u8> {
     let mut out = Vec::new();
     put_u32(&mut out, KEY_MAGIC);
-    put_u16(&mut out, VERSION);
+    put_u16(&mut out, KEY_VERSION);
     out.push(KEY_DIR_ACK);
     match outcome {
         Ok(()) => {
@@ -1105,7 +1109,7 @@ pub fn decode_key_ack(bytes: &[u8]) -> Result<(TenantId, Result<(), String>), En
     if c.u32()? != KEY_MAGIC {
         return Err(wire_err("bad key-transfer magic"));
     }
-    if c.u16()? != VERSION {
+    if c.u16()? != KEY_VERSION {
         return Err(wire_err("unsupported key-transfer version"));
     }
     if c.u8()? != KEY_DIR_ACK {
@@ -1138,7 +1142,7 @@ pub fn decode_key_ack(bytes: &[u8]) -> Result<(TenantId, Result<(), String>), En
 // re-registration path. Layout:
 //
 // ```text
-// snapshot := "HEVR" u32 | version=2 u16 | tenant_count u32
+// snapshot := "HEVR" u32 | version=3 u16 | tenant_count u32
 //           | entries…(len u32 | HEVK key-push frame)
 //           | crc32 u32                  (over all preceding bytes)
 // ```
@@ -1154,7 +1158,7 @@ pub fn decode_key_ack(bytes: &[u8]) -> Result<(TenantId, Result<(), String>), En
 pub fn encode_registry_snapshot(entries: &[(TenantId, Arc<TenantKeys>)]) -> Vec<u8> {
     let mut out = Vec::new();
     put_u32(&mut out, SNAP_MAGIC);
-    put_u16(&mut out, VERSION);
+    put_u16(&mut out, KEY_VERSION);
     put_u32(&mut out, entries.len() as u32);
     for (tenant, keys) in entries {
         let frame = encode_key_push(*tenant, keys);
@@ -1220,7 +1224,7 @@ fn decode_registry_snapshot_inner(
     if c.u32()? != SNAP_MAGIC {
         return Err(wire_err("bad snapshot magic"));
     }
-    if c.u16()? != VERSION {
+    if c.u16()? != KEY_VERSION {
         return Err(wire_err("unsupported snapshot version"));
     }
     let count = c.u32()? as usize;

@@ -241,6 +241,74 @@ fn deep_graphs_are_refused_at_the_noise_budget() {
     engine.shutdown();
 }
 
+/// On the paper's batching set, Galois keys have two digits of three
+/// primes each: the worst-case model still closes a slot sum at the end
+/// of the declared depth-4 chain, but leaves room for only one `Mul`
+/// after a rotation of a fresh ciphertext. Admission replays exactly
+/// that: `Mul`⁴ → `SumSlots` is admitted and decrypts, `Rotate` → `Mul`
+/// → `Mul` is refused at the door.
+#[test]
+fn galois_noise_admission_on_the_batching_set() {
+    let ctx = Arc::new(FvContext::new(FvParams::hpca19_batching()).unwrap());
+    assert_eq!(ctx.galois_digits(), 2);
+    let engine = Engine::start(Arc::clone(&ctx), EngineConfig::default());
+    let mut rng = StdRng::seed_from_u64(0x6A1);
+    let (sk, pk, rlk) = keygen(&ctx, &mut rng);
+    let galois = GaloisKeySet::for_slot_sum(&ctx, &sk, &mut rng);
+    let g = galois.keys()[0].g as u32;
+    engine.register_tenant(1, TenantKeys::full(pk.clone(), rlk, galois));
+    let (t, n) = (ctx.params().t, ctx.params().n);
+    let encoder = BatchEncoder::new(t, n).unwrap();
+    let slots: Vec<u64> = (0..n as u64).map(|i| i % 7).collect();
+    let x = encrypt(&ctx, &pk, &encoder.encode(&slots), &mut rng);
+    let one = enc(&ctx, &pk, 1, &mut rng);
+
+    let (x0, one0) = (ValRef::Input(0), ValRef::Input(1));
+    let deep = EvalRequest {
+        tenant: 1,
+        inputs: vec![x.clone(), one],
+        plaintexts: vec![],
+        ops: vec![
+            EvalOp::Mul(x0, one0),
+            EvalOp::Mul(ValRef::Op(0), one0),
+            EvalOp::Mul(ValRef::Op(1), one0),
+            EvalOp::Mul(ValRef::Op(2), one0),
+            EvalOp::SumSlots(ValRef::Op(3)),
+        ],
+        deadline_us: None,
+        trace_id: None,
+    };
+    let reply = engine
+        .call(deep)
+        .expect("a slot sum at depth 4 is admitted");
+    let total = slots.iter().sum::<u64>() % t;
+    let got = encoder.decode(&decrypt(&ctx, &sk, &reply.result));
+    assert!(got.iter().all(|&v| v == total), "slot sum decrypts");
+
+    let rotate_then_square = EvalRequest {
+        tenant: 1,
+        inputs: vec![x.clone(), x],
+        plaintexts: vec![],
+        ops: vec![
+            EvalOp::Rotate(x0, g),
+            EvalOp::Mul(ValRef::Op(0), ValRef::Input(1)),
+            EvalOp::Mul(ValRef::Op(1), ValRef::Input(1)),
+        ],
+        deadline_us: None,
+        trace_id: None,
+    };
+    let err = engine
+        .submit(rotate_then_square)
+        .expect_err("two Muls after a rotation exceed the budget");
+    assert_eq!(err.code(), ErrorCode::NoiseBudgetExhausted);
+    assert_eq!(
+        engine.stats().jobs_completed,
+        1,
+        "the refused job never ran"
+    );
+    engine.shutdown();
+}
+
 /// K repeated worker panics on one (tenant, op-class) signature
 /// quarantine it: further submissions of that shape are refused
 /// `Quarantined` with a TTL hint, other shapes keep flowing, and the

@@ -30,7 +30,10 @@
 //! `Extender::extend_hps` / `ScaleContext::scale_hps` on every column,
 //! across four bases: the paper's 6 + 7 limbs, a toy 3 + 4, Table V's
 //! 48 + 49 (whose sums of products take partial reductions) and 31-bit
-//! primes (the `SmallReciprocal` ceiling).
+//! primes (the `SmallReciprocal` ceiling). The same Lift blocks carry the
+//! grouped key-switch digits' extension from a group of `q` primes to the
+//! others; that use is pinned on both lanes against the exact centered
+//! CRT integer.
 //!
 //! The CRC-32 entry is pinned on both lanes against an in-test
 //! byte-at-a-time oracle — every length up to 4 KiB at random
@@ -40,7 +43,7 @@
 use hefv_math::dispatch::{self, Kernels};
 use hefv_math::ntt::NttTable;
 use hefv_math::primes::{ntt_prime, ntt_primes};
-use hefv_math::rns::{HpsPrecision, RnsContext, ScaleContext};
+use hefv_math::rns::{Extender, HpsPrecision, RnsBasis, RnsContext, ScaleContext};
 use hefv_math::zq::Modulus;
 use proptest::prelude::*;
 use std::ops::Range;
@@ -512,6 +515,52 @@ proptest! {
 fn hps_paper_shape_full_width() {
     let shape = &hps_shapes()[0];
     check_hps_cols(shape, 0xF00D, 0..shape.n).unwrap();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The grouped key-switch digit step: the HPS extension from a group
+    /// of consecutive `q` primes to the other primes. Both lanes agree bit
+    /// for bit, and every output column holds the residues of the exact
+    /// centered CRT integer of its group residues, for groups of one, two
+    /// and three 30- or 31-bit primes at every position.
+    #[test]
+    fn digit_group_extension_is_exact_on_both_lanes(
+        bits in 30u32..32,
+        group in 0usize..6,
+        seed in any::<u64>(),
+    ) {
+        let primes = ntt_primes(bits, 4096, 6).unwrap();
+        let rows = [0..3, 3..6, 0..2, 2..4, 4..6, 1..2][group].clone();
+        let rest: Vec<u64> = primes[..rows.start]
+            .iter()
+            .chain(&primes[rows.end..])
+            .copied()
+            .collect();
+        let from = RnsBasis::new(&primes[rows.clone()]).unwrap();
+        let to = RnsBasis::new(&rest).unwrap();
+        let ext = Extender::new(&from, &to);
+        let n = 300;
+        let src: Vec<u64> = rows
+            .clone()
+            .enumerate()
+            .flat_map(|(r, j)| fill(seed ^ r as u64, n, primes[j]))
+            .collect();
+        let want = oracle_cols(&src, rows.len(), n, 0..n, rest.len(), |a| ext.extend_exact(a));
+        for lane in lanes() {
+            let mut got = vec![0u64; rest.len() * n];
+            lane.hps_extend_cols(&ext, &src, n, 0..n, &mut got, HpsPrecision::Fixed);
+            prop_assert_eq!(
+                &got,
+                &want,
+                "{}-bit group {:?} {}",
+                bits,
+                rows,
+                lane.backend().name()
+            );
+        }
+    }
 }
 
 /// Every lane this CPU can run: the scalar table, then AVX2 when

@@ -27,32 +27,61 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn live_threads() -> usize {
-    std::fs::read_dir("/proc/self/task").unwrap().count()
-}
-
-/// Live tasks named `hefv-net-poll` (the name `NetServer::bind` gives
-/// its poll thread), so another test's thread that is still tearing down
-/// cannot skew the count. A task already in `do_exit` (`PF_EXITING` in
-/// its `stat` flags) is not live: `join` returns once the exiting thread
-/// clears its tid, a moment before the kernel unlists it.
-fn poll_threads() -> usize {
+/// The `comm` of every live task of this process that `keep(tid, comm)`
+/// accepts. A task already in `do_exit` (`PF_EXITING` in its `stat`
+/// flags) is not live: `join` returns once the exiting thread clears its
+/// tid, a moment before the kernel unlists it, so counting it would read
+/// a joined thread as a leak. Every thread that has not started exiting
+/// still counts.
+fn live_tasks(keep: impl Fn(u32, &str) -> bool) -> Vec<String> {
     const PF_EXITING: u64 = 0x4;
     std::fs::read_dir("/proc/self/task")
         .unwrap()
         .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("stat")).ok())
-        .filter(|stat| {
+        .filter_map(|stat| {
             // `tid (comm) state ppid pgrp session tty_nr tpgid flags …`
-            let Some((head, tail)) = stat.rsplit_once(')') else {
-                return false;
-            };
-            let flags = tail
-                .split_whitespace()
-                .nth(6)
-                .and_then(|f| f.parse::<u64>().ok());
-            head.ends_with("(hefv-net-poll") && flags.is_some_and(|f| f & PF_EXITING == 0)
+            let (head, tail) = stat.rsplit_once(')')?;
+            let (tid, comm) = head.split_once(" (")?;
+            let flags: u64 = tail.split_whitespace().nth(6)?.parse().ok()?;
+            (flags & PF_EXITING == 0 && keep(tid.parse().ok()?, comm)).then(|| comm.to_owned())
         })
-        .count()
+        .collect()
+}
+
+/// Live tasks, leaving out the harness's threads for this file's other
+/// tests. Each test runs on a thread named after it, whose `comm` is the
+/// name's first 15 bytes; one that starts while this test holds
+/// [`SERIAL`] would otherwise read as a leak. Until it names itself, a
+/// new harness thread carries the `comm` of the harness's main thread, so
+/// that name counts only for the main thread itself. Every other live
+/// task counts: this test's own thread and any thread the code under test
+/// starts, whatever its name.
+fn live_threads() -> Vec<String> {
+    let own = std::thread::current().name().unwrap_or_default().to_owned();
+    let siblings: Vec<&str> = include_str!("thread_hygiene.rs")
+        .split("#[test]\nfn ")
+        .skip(1)
+        .filter_map(|rest| Some(rest.split_once('(')?.0))
+        .filter(|&test| test != own)
+        .map(|test| &test[..test.len().min(15)])
+        .collect();
+    assert!(siblings.len() >= 3, "sibling tests found: {siblings:?}");
+    let main = std::process::id();
+    let main_comm = std::fs::read_to_string(format!("/proc/self/task/{main}/comm")).unwrap();
+    let main_comm = main_comm.trim_end();
+    // A test run on the main thread has no harness threads beside it, and
+    // the unnamed threads it starts carry the main thread's name.
+    let on_main = own == "main";
+    live_tasks(|tid, comm| {
+        !siblings.contains(&comm) && (on_main || tid == main || comm != main_comm)
+    })
+}
+
+/// Live tasks named `hefv-net-poll` (the name `NetServer::bind` gives
+/// its poll thread), so another test's thread that is still tearing down
+/// cannot skew the count.
+fn poll_threads() -> usize {
+    live_tasks(|_, comm| comm == "hefv-net-poll").len()
 }
 
 fn live_fds() -> usize {
@@ -86,8 +115,8 @@ fn repeated_engine_start_stop_leaks_no_threads() {
     }
     let after = live_threads();
     assert!(
-        after <= before,
-        "thread leak: {before} tasks before, {after} after 20 engine cycles"
+        after.len() <= before.len(),
+        "thread leak: {before:?} before, {after:?} after 20 engine cycles"
     );
 }
 
@@ -124,8 +153,8 @@ fn repeated_router_and_server_start_stop_leaks_no_threads() {
     }
     let after = live_threads();
     assert!(
-        after <= before,
-        "thread leak: {before} tasks before, {after} after 10 router+server cycles"
+        after.len() <= before.len(),
+        "thread leak: {before:?} before, {after:?} after 10 router+server cycles"
     );
 }
 
@@ -216,8 +245,8 @@ fn chaos_panic_cycles_leak_no_threads_fds_or_replies() {
     }
     let (threads_after, fds_after) = (live_threads(), live_fds());
     assert!(
-        threads_after <= threads_before,
-        "thread leak: {threads_before} tasks before, {threads_after} after 20 chaos cycles"
+        threads_after.len() <= threads_before.len(),
+        "thread leak: {threads_before:?} before, {threads_after:?} after 20 chaos cycles"
     );
     assert!(
         fds_after <= fds_before,

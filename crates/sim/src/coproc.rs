@@ -116,8 +116,9 @@ pub fn mult_microcode(
 /// RPAUs: one automorphism permutation pass per ciphertext polynomial,
 /// digit decomposition of the permuted `c1`, and a relinearization-shaped
 /// SoP streaming the switching key (`2·digits` polynomials of `k` residues)
-/// from DDR. The HPS coprocessor decomposes into `digits = k` words; the
-/// traditional architecture uses its coarser relinearization digit count.
+/// from DDR. The HPS coprocessor's Galois keys group the `k` primes into
+/// `digits` words (`FvContext::galois_digits`); the traditional
+/// architecture uses its coarser relinearization digit count.
 pub fn rotate_microcode(k: usize, digits: usize, rpaus: usize, n: usize, sync_us: f64) -> Vec<Op> {
     let q_batches = k.div_ceil(rpaus);
     let mut ops = Vec::new();
@@ -369,12 +370,13 @@ impl Coprocessor {
 
     /// Prices a Galois rotation (the key-switching extension): one
     /// automorphism permutation (a Memory-Rearrange-class pass per
-    /// polynomial) plus a relinearization-shaped SoP over the key digits —
-    /// exactly the Table II instruction classes, no new hardware.
+    /// polynomial) plus a relinearization-shaped SoP over the key's
+    /// [`FvContext::galois_digits`] digits — exactly the Table II
+    /// instruction classes, no new hardware.
     pub fn run_rotate(&self, ctx: &FvContext) -> OpReport {
         let p = ctx.params();
         let rpaus = (p.k() + p.l()).div_ceil(2);
-        let ops = rotate_microcode(p.k(), p.k(), rpaus, p.n, self.mult_sync_us);
+        let ops = rotate_microcode(p.k(), ctx.galois_digits(), rpaus, p.n, self.mult_sync_us);
         self.run(&ops)
     }
 
@@ -385,8 +387,14 @@ impl Coprocessor {
     pub fn run_hoisted_rotations(&self, ctx: &FvContext, rotations: usize) -> OpReport {
         let p = ctx.params();
         let rpaus = (p.k() + p.l()).div_ceil(2);
-        let ops =
-            hoisted_rotations_microcode(p.k(), p.k(), rpaus, p.n, rotations, self.mult_sync_us);
+        let ops = hoisted_rotations_microcode(
+            p.k(),
+            ctx.galois_digits(),
+            rpaus,
+            p.n,
+            rotations,
+            self.mult_sync_us,
+        );
         self.run(&ops)
     }
 
@@ -397,7 +405,7 @@ impl Coprocessor {
         let rpaus = (p.k() + p.l()).div_ceil(2);
         let ops = sum_slots_microcode(
             p.k(),
-            p.k(),
+            ctx.galois_digits(),
             rpaus,
             p.n,
             hefv_core::galois::HOIST_GROUP_ROUNDS,
@@ -563,9 +571,12 @@ mod tests {
         let add = cop.run_add();
         assert!(rot.total_us < mult.total_us);
         assert!(rot.total_us > 10.0 * add.total_us);
-        // Rotation ≈ the relinearization tail of Mult: same digit count,
-        // so the same rlk DMA volume.
-        assert!((rot.rlk_dma_us - mult.rlk_dma_us).abs() < 1e-9);
+        // Rotation ≈ the relinearization tail of Mult, but over the
+        // Galois keys' grouped digits: `d/k` of the relinearization key's
+        // DMA volume.
+        let share = ctx.galois_digits() as f64 / ctx.params().k() as f64;
+        assert!(share < 1.0, "Galois keys group primes");
+        assert!((rot.rlk_dma_us - share * mult.rlk_dma_us).abs() < 1e-9 * mult.rlk_dma_us);
     }
 
     #[test]
@@ -592,8 +603,8 @@ mod tests {
     #[test]
     fn hoisted_sum_slots_trades_transforms_for_key_dma() {
         // The grouped hoisted fold amortizes the decomposition transforms
-        // (4 decompositions instead of 12) but streams the subset-product
-        // keys (28 instead of 12): transform calls shrink while DMA time
+        // (6 decompositions instead of 12) but streams the subset-product
+        // keys (18 instead of 12): transform calls shrink while DMA time
         // grows.
         let cop = Coprocessor::default();
         let ctx = FvContext::new(FvParams::hpca19()).unwrap();
