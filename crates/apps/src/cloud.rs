@@ -167,7 +167,7 @@ impl CloudServer {
         self.router.stats().total.sim_cost_us
     }
 
-    /// The underlying shard router (stats, placement, pinning, batching).
+    /// The underlying shard router (stats, placement, pinning).
     pub fn router(&self) -> &ShardRouter {
         &self.router
     }

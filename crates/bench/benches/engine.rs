@@ -1,6 +1,5 @@
 //! Engine throughput: requests/second through the full submit → schedule →
-//! execute → respond path, single-worker vs multi-worker, plus the
-//! batching front-end's amplification.
+//! execute → respond path, single-worker vs multi-worker.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use hefv_core::prelude::*;
@@ -16,9 +15,7 @@ struct Fixture {
 }
 
 fn fixture() -> Fixture {
-    let mut params = FvParams::insecure_medium();
-    params.t = 7681; // SIMD slots for the batching bench
-    let ctx = Arc::new(FvContext::new(params).unwrap());
+    let ctx = Arc::new(FvContext::new(FvParams::insecure_medium()).unwrap());
     let mut rng = StdRng::seed_from_u64(2019);
     let (_sk, pk, rlk) = keygen(&ctx, &mut rng);
     Fixture { ctx, pk, rlk }
@@ -29,7 +26,6 @@ fn start_engine(f: &Fixture, workers: usize) -> Engine {
         Arc::clone(&f.ctx),
         EngineConfig {
             workers,
-            max_batch: 16,
             ..EngineConfig::default()
         },
     );
@@ -76,35 +72,5 @@ fn bench_eval_throughput(c: &mut Criterion) {
     g.finish();
 }
 
-/// 16 scalar products per iteration: one slot-packed Mult instead of 16.
-fn bench_batched_scalars(c: &mut Criterion) {
-    let f = fixture();
-    let engine = start_engine(&f, 2);
-    let mut g = c.benchmark_group("engine_batching");
-    g.sample_size(10).throughput(Throughput::Elements(16));
-    g.bench_function("scalar_mul_16_coalesced", |b| {
-        b.iter(|| {
-            let tickets: Vec<ScalarTicket> = (0..16u64)
-                .map(|i| {
-                    engine
-                        .submit_scalar(ScalarRequest {
-                            tenant: 1,
-                            op: ScalarOp::Mul,
-                            lhs: 3 + i,
-                            rhs: 5 + i,
-                        })
-                        .unwrap()
-                })
-                .collect();
-            engine.flush_batches();
-            for t in tickets {
-                t.wait().unwrap();
-            }
-        })
-    });
-    g.finish();
-    engine.shutdown();
-}
-
-criterion_group!(benches, bench_eval_throughput, bench_batched_scalars);
+criterion_group!(benches, bench_eval_throughput);
 criterion_main!(benches);

@@ -5,8 +5,7 @@
 //! next job under the EDF/stride/aged-cost policy, resolve the tenant's
 //! keys from the [`KeyRegistry`], execute the op-graph on the worker's
 //! own thread and scratch arena, and deliver the result through the
-//! job's completion callback. A background linger timer drains
-//! partially-filled scalar batches under light load. All counters land in [`EngineStats`].
+//! job's completion callback. All counters land in [`EngineStats`].
 
 use crate::admission::{op_class_mask, Quarantine, SheddingPolicy};
 use crate::chaos::{self, ChaosPlan};
@@ -23,7 +22,7 @@ use hefv_core::galois::{apply_galois_in, sum_slots_in, HoistedCiphertext};
 use hefv_core::noise::NoiseModel;
 use hefv_core::scratch::Arena;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -41,21 +40,15 @@ pub struct EngineConfig {
     /// Queue bound: `submit` blocks once this many jobs are pending,
     /// pushing backpressure onto producers instead of growing memory.
     pub queue_capacity: usize,
-    /// Scalar requests coalesced per batch (0 = the encoder's slot count).
-    pub max_batch: usize,
-    /// Max latency of a partially-filled scalar batch: a background timer
-    /// dispatches any pending batch this old, so light-load traffic drains
-    /// without waiting for the batch to fill or for an explicit
-    /// [`Engine::flush_batches`]. `None` disables the timer.
-    pub batch_linger: Option<Duration>,
     /// Scheduler aging weight in µs per arrival (0 = `mult_us / 16`).
     pub aging_weight_us: f64,
-    /// Seed for the engine's internal randomness (batch encryption).
-    pub seed: u64,
+    /// Seed mixed with the job id to mint trace ids for requests that
+    /// carry none, and to seed the per-worker chaos streams.
+    pub trace_seed: u64,
     /// Capacity of the flight recorder's span rings (recent and slow
     /// each hold this many [`SpanRecord`]s); see [`crate::trace`].
     pub trace_ring: usize,
-    /// Completed jobs whose total latency (batch + queue + exec + reply)
+    /// Completed jobs whose total latency (queue + exec + reply)
     /// crosses this threshold are counted as slow and their spans
     /// promoted to the flight recorder's slow ring. `None` disables
     /// promotion.
@@ -76,10 +69,8 @@ impl Default for EngineConfig {
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             registry_capacity: 64,
             queue_capacity: 128,
-            max_batch: 0,
-            batch_linger: Some(Duration::from_millis(100)),
             aging_weight_us: 0.0,
-            seed: 0x4845_4154, // "HEAT"
+            trace_seed: 0x4845_4154, // "HEAT"
             trace_ring: 256,
             slow_threshold: Some(Duration::from_millis(100)),
             shedding: SheddingPolicy::default(),
@@ -95,9 +86,6 @@ struct Job {
     /// End-to-end trace id: the request's own if the client set one,
     /// minted deterministically at admission otherwise.
     trace_id: u64,
-    /// Time the request spent waiting in a scalar batch before
-    /// submission (0 for directly-submitted jobs).
-    batch_ns: u64,
     req: EvalRequest,
     cost_us: f64,
     enqueued: Instant,
@@ -115,7 +103,6 @@ pub(crate) struct Shared {
     noise: NoiseModel,
     estimator: CostEstimator,
     next_job_id: AtomicU64,
-    pub(crate) batching: Option<crate::batch::Batching>,
     /// Worker-pool size: the admission deadline gate divides the queue
     /// backlog by this for its serve-time estimate.
     workers: usize,
@@ -126,94 +113,14 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    pub(crate) fn ctx(&self) -> &Arc<FvContext> {
-        &self.ctx
-    }
-
-    pub(crate) fn registry(&self) -> &KeyRegistry {
-        &self.registry
-    }
-
     pub(crate) fn stats(&self) -> &EngineStats {
         &self.stats
-    }
-
-    pub(crate) fn recorder(&self) -> &FlightRecorder {
-        &self.recorder
-    }
-
-    /// The submission path shared by [`Engine::submit_with_callback`] and
-    /// the batching front-end (including its linger timer thread).
-    pub(crate) fn submit_with_callback<F>(
-        &self,
-        req: EvalRequest,
-        done: F,
-    ) -> Result<u64, EngineError>
-    where
-        F: FnOnce(Result<EvalResponse, EngineError>) + Send + 'static,
-    {
-        self.submit_batched_with_callback(req, 0, done)
-    }
-
-    /// [`Shared::submit_with_callback`] with the time the request already
-    /// spent waiting in a scalar batch, so the job's trace span carries
-    /// the full `batch → queue → execute → reply` breakdown.
-    pub(crate) fn submit_batched_with_callback<F>(
-        &self,
-        req: EvalRequest,
-        batch_ns: u64,
-        done: F,
-    ) -> Result<u64, EngineError>
-    where
-        F: FnOnce(Result<EvalResponse, EngineError>) + Send + 'static,
-    {
-        let (id, cost_us, qos, job) = self.prepare(req, batch_ns, done)?;
-        self.stats.on_submit();
-        if !self.queue.push_qos(cost_us, qos, job) {
-            self.stats.on_reject();
-            return Err(EngineError::QueueClosed);
-        }
-        Ok(id)
-    }
-
-    /// Non-blocking submission for callers that must never wait on queue
-    /// backpressure (the TCP poll loop): `Ok(None)` means the queue is
-    /// at capacity right now — nothing was enqueued, `done` was dropped
-    /// unused, and the caller should retry later.
-    pub(crate) fn try_submit_with_callback<F>(
-        &self,
-        req: EvalRequest,
-        done: F,
-    ) -> Result<Option<u64>, EngineError>
-    where
-        F: FnOnce(Result<EvalResponse, EngineError>) + Send + 'static,
-    {
-        let (id, cost_us, qos, job) = self.prepare(req, 0, done)?;
-        match self.queue.try_push_qos(cost_us, qos, job) {
-            crate::sched::TryPush::Queued => {
-                self.stats.on_submit();
-                Ok(Some(id))
-            }
-            crate::sched::TryPush::Full(_) => {
-                self.stats.on_refused();
-                Ok(None)
-            }
-            crate::sched::TryPush::Closed(_) => {
-                self.stats.on_refused();
-                Err(EngineError::QueueClosed)
-            }
-        }
     }
 
     /// Validation, key checks, pricing and job construction — everything
     /// up to the actual enqueue.
     #[allow(clippy::type_complexity)]
-    fn prepare<F>(
-        &self,
-        req: EvalRequest,
-        batch_ns: u64,
-        done: F,
-    ) -> Result<(u64, f64, QosSpec, Job), EngineError>
+    fn prepare<F>(&self, req: EvalRequest, done: F) -> Result<(u64, f64, QosSpec, Job), EngineError>
     where
         F: FnOnce(Result<EvalResponse, EngineError>) + Send + 'static,
     {
@@ -308,7 +215,6 @@ impl Shared {
         let job = Job {
             id,
             trace_id,
-            batch_ns,
             req,
             cost_us,
             enqueued: Instant::now(),
@@ -387,20 +293,12 @@ impl JobHandle {
     }
 }
 
-/// Linger-timer shutdown flag (mutex + condvar so the timer sleeps
-/// between ticks and wakes immediately on shutdown).
-struct TimerStop {
-    stopped: Mutex<bool>,
-    wake: Condvar,
-}
-
 /// The multi-tenant FHE evaluation engine. See the crate docs for an
 /// end-to-end example.
 pub struct Engine {
     shared: Arc<Shared>,
     workers: usize,
     handles: Vec<JoinHandle<()>>,
-    timer: Option<(Arc<TimerStop>, JoinHandle<()>)>,
 }
 
 impl Engine {
@@ -413,7 +311,6 @@ impl Engine {
         } else {
             (estimator.mult_us() / 16.0).max(1e-6)
         };
-        let batching = crate::batch::Batching::for_context(&ctx, &config);
         let shared = Arc::new(Shared {
             noise: NoiseModel::new(&ctx),
             registry: KeyRegistry::new(config.registry_capacity),
@@ -422,11 +319,10 @@ impl Engine {
                 config.trace_ring,
                 config.slow_threshold.map(|d| d.as_nanos() as u64),
             ),
-            trace_seed: config.seed,
+            trace_seed: config.trace_seed,
             queue: JobQueue::new(aging, config.queue_capacity),
             estimator,
             next_job_id: AtomicU64::new(0),
-            batching,
             workers,
             quarantine: Quarantine::new(&config.shedding),
             shedding: config.shedding,
@@ -442,44 +338,10 @@ impl Engine {
                     .expect("spawn engine worker")
             })
             .collect();
-        let timer = match (config.batch_linger, shared.batching.is_some()) {
-            (Some(linger), true) => {
-                let stop = Arc::new(TimerStop {
-                    stopped: Mutex::new(false),
-                    wake: Condvar::new(),
-                });
-                let tick = (linger / 4).max(Duration::from_millis(1));
-                let shared = Arc::clone(&shared);
-                let stop2 = Arc::clone(&stop);
-                let handle = std::thread::Builder::new()
-                    .name("hefv-batch-linger".into())
-                    .spawn(move || loop {
-                        // The stop flag is released before flushing: a
-                        // flush can block on queue backpressure, and
-                        // shutdown must not wait behind it to even set
-                        // the flag.
-                        {
-                            let guard = stop2.stopped.lock().unwrap();
-                            if *guard {
-                                break;
-                            }
-                            let (guard, _) = stop2.wake.wait_timeout(guard, tick).unwrap();
-                            if *guard {
-                                break;
-                            }
-                        }
-                        crate::batch::flush_expired(&shared, linger);
-                    })
-                    .expect("spawn batch linger timer");
-                Some((stop, handle))
-            }
-            _ => None,
-        };
         Engine {
             shared,
             workers,
             handles,
-            timer,
         }
     }
 
@@ -529,7 +391,7 @@ impl Engine {
     /// The engine's flight recorder: the most recent (and most recent
     /// slow) job spans. See [`crate::trace`].
     pub fn recorder(&self) -> &FlightRecorder {
-        self.shared.recorder()
+        &self.shared.recorder
     }
 
     pub(crate) fn shared(&self) -> &Arc<Shared> {
@@ -558,7 +420,14 @@ impl Engine {
     where
         F: FnOnce(Result<EvalResponse, EngineError>) + Send + 'static,
     {
-        self.shared.submit_with_callback(req, done)
+        let shared = &*self.shared;
+        let (id, cost_us, qos, job) = shared.prepare(req, done)?;
+        shared.stats.on_submit();
+        if !shared.queue.push_qos(cost_us, qos, job) {
+            shared.stats.on_reject();
+            return Err(EngineError::QueueClosed);
+        }
+        Ok(id)
     }
 
     /// Non-blocking [`Engine::submit_with_callback`]: `Ok(None)` means
@@ -579,7 +448,22 @@ impl Engine {
     where
         F: FnOnce(Result<EvalResponse, EngineError>) + Send + 'static,
     {
-        self.shared.try_submit_with_callback(req, done)
+        let shared = &*self.shared;
+        let (id, cost_us, qos, job) = shared.prepare(req, done)?;
+        match shared.queue.try_push_qos(cost_us, qos, job) {
+            crate::sched::TryPush::Queued => {
+                shared.stats.on_submit();
+                Ok(Some(id))
+            }
+            crate::sched::TryPush::Full(_) => {
+                shared.stats.on_refused();
+                Ok(None)
+            }
+            crate::sched::TryPush::Closed(_) => {
+                shared.stats.on_refused();
+                Err(EngineError::QueueClosed)
+            }
+        }
     }
 
     /// Submits a request, returning a handle to wait on.
@@ -610,11 +494,6 @@ impl Engine {
     }
 
     fn close_and_join(&mut self) {
-        if let Some((stop, handle)) = self.timer.take() {
-            *stop.stopped.lock().unwrap() = true;
-            stop.wake.notify_all();
-            let _ = handle.join();
-        }
         self.shared.queue.close();
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -647,7 +526,6 @@ fn worker_loop(shared: &Shared, worker: u32) {
         let Job {
             id,
             trace_id,
-            batch_ns,
             req,
             cost_us,
             done,
@@ -721,7 +599,6 @@ fn worker_loop(shared: &Shared, worker: u32) {
             ok,
             level: level.as_str(),
             est_cost_us: cost_us,
-            batch_ns,
             queue_ns,
             exec_ns,
             reply_ns,

@@ -18,7 +18,9 @@ use core::fmt;
 /// The wire-level error taxonomy: one byte per refusal class.
 ///
 /// The discriminants are the on-wire values — append-only; never
-/// renumber.
+/// renumber. Byte 11 is retired (it named a refusal of the deleted
+/// server-side scalar batching front end) and is never reused: an
+/// incoming 11 decodes as an unknown code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum ErrorCode {
@@ -51,8 +53,6 @@ pub enum ErrorCode {
     MissingKey = 9,
     /// Malformed wire frame. Terminal.
     Wire = 10,
-    /// Scalar batching unsupported at these parameters. Terminal.
-    BatchUnsupported = 11,
     /// An integrity check failed: a net envelope's CRC32 trailer did
     /// not match its payload, or an `HEVR` registry snapshot was torn
     /// or bit-flipped. The payload was rejected *before* decode — the
@@ -62,7 +62,7 @@ pub enum ErrorCode {
 }
 
 /// Every code, for exhaustive iteration (docs tables, metrics labels).
-pub const ERROR_CODES: [ErrorCode; 13] = [
+pub const ERROR_CODES: [ErrorCode; 12] = [
     ErrorCode::Internal,
     ErrorCode::Overload,
     ErrorCode::DeadlineInfeasible,
@@ -74,7 +74,6 @@ pub const ERROR_CODES: [ErrorCode; 13] = [
     ErrorCode::UnknownTenant,
     ErrorCode::MissingKey,
     ErrorCode::Wire,
-    ErrorCode::BatchUnsupported,
     ErrorCode::IntegrityFailure,
 ];
 
@@ -115,7 +114,6 @@ impl ErrorCode {
             ErrorCode::UnknownTenant => "unknown_tenant",
             ErrorCode::MissingKey => "missing_key",
             ErrorCode::Wire => "wire",
-            ErrorCode::BatchUnsupported => "batch_unsupported",
             ErrorCode::IntegrityFailure => "integrity_failure",
         }
     }
@@ -140,7 +138,7 @@ pub enum EngineError {
     MissingKey {
         /// The tenant whose key set is incomplete.
         tenant: TenantId,
-        /// Which key class is missing (`"public"`, `"relin"`, `"galois"`).
+        /// Which key class is missing (`"relin"` or `"galois"`).
         which: &'static str,
     },
     /// The engine is shutting down and no longer accepts work.
@@ -149,9 +147,6 @@ pub enum EngineError {
     /// Unlike [`EngineError::Validation`], this is not the client's
     /// fault and the request may succeed on retry after a fix.
     Internal(String),
-    /// Scalar batching was requested but the parameter set does not
-    /// support SIMD slots (`t` not a prime `≡ 1 mod 2n`).
-    BatchUnsupported(String),
     /// Shed at admission: queue or in-flight budget full.
     Overload {
         /// Suggested wait before retrying, from the backlog estimate.
@@ -215,7 +210,6 @@ impl EngineError {
             EngineError::MissingKey { .. } => ErrorCode::MissingKey,
             EngineError::QueueClosed => ErrorCode::ShuttingDown,
             EngineError::Internal(_) => ErrorCode::Internal,
-            EngineError::BatchUnsupported(_) => ErrorCode::BatchUnsupported,
             EngineError::Overload { .. } => ErrorCode::Overload,
             EngineError::DeadlineInfeasible { .. } => ErrorCode::DeadlineInfeasible,
             EngineError::MemoryPressure { .. } => ErrorCode::MemoryPressure,
@@ -266,7 +260,6 @@ impl fmt::Display for EngineError {
             }
             EngineError::QueueClosed => write!(f, "engine is shut down"),
             EngineError::Internal(r) => write!(f, "internal engine failure: {r}"),
-            EngineError::BatchUnsupported(r) => write!(f, "batching unsupported: {r}"),
             EngineError::Overload { retry_after_us } => match retry_after_us {
                 Some(us) => write!(f, "overloaded, retry after {us} µs"),
                 None => write!(f, "overloaded"),
@@ -360,10 +353,11 @@ mod tests {
             assert_eq!(ErrorCode::from_u8(code.as_u8()), Some(code));
         }
         assert_eq!(ErrorCode::from_u8(0xF0), None);
-        // The discriminants are a contiguous append-only namespace.
-        for (i, code) in ERROR_CODES.iter().enumerate() {
-            assert_eq!(code.as_u8() as usize, i);
-        }
+        // The discriminants are an append-only namespace: every live code
+        // keeps its byte, and the retired byte 11 decodes to nothing.
+        let bytes: Vec<u8> = ERROR_CODES.iter().map(|c| c.as_u8()).collect();
+        assert_eq!(bytes, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12]);
+        assert_eq!(ErrorCode::from_u8(11), None);
     }
 
     #[test]
@@ -385,7 +379,6 @@ mod tests {
             ErrorCode::UnknownTenant,
             ErrorCode::MissingKey,
             ErrorCode::Wire,
-            ErrorCode::BatchUnsupported,
         ] {
             assert!(!code.retryable(), "{code} must be terminal");
         }

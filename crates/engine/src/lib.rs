@@ -32,10 +32,6 @@
 //! * [`registry`] — per-tenant key registry (pk/rlk/Galois) with LRU
 //!   eviction; a tenant's jobs are evaluated *only* with that tenant's
 //!   registered keys;
-//! * [`batch`] — the batching front-end: compatible scalar requests are
-//!   coalesced into slot-packed ciphertexts via `BatchEncoder` and the
-//!   packed results demuxed back to each requester; a linger timer drains
-//!   partial batches under light load;
 //! * [`sched`] — the HPS cost estimator and the deterministic
 //!   EDF/stride/aged-cost queue (per-tenant weights, optional deadlines);
 //! * [`wire`] — shard-addressed request/response framing extending
@@ -46,9 +42,9 @@
 //! * [`metrics`] — mergeable log-linear latency [`Histogram`]s
 //!   (p50/p95/p99/max) and the Prometheus-text exposition of a fleet's
 //!   [`RouterStats`];
-//! * [`trace`] — per-job [`trace::SpanRecord`]s (`admit → queue → batch →
-//!   execute → reply-write`) in a lock-free-on-the-hot-path flight
-//!   recorder with slow-job promotion.
+//! * [`trace`] — per-job [`trace::SpanRecord`]s (`admit → queue → execute
+//!   → reply`) in a lock-free-on-the-hot-path flight recorder with
+//!   slow-job promotion.
 //!
 //! # Example
 //!
@@ -90,7 +86,6 @@
 //! ```
 
 pub mod admission;
-pub mod batch;
 pub mod chaos;
 pub mod engine;
 pub mod error;
@@ -105,7 +100,6 @@ pub mod trace;
 pub mod wire;
 
 pub use admission::SheddingPolicy;
-pub use batch::{BatchResult, ScalarOp, ScalarRequest, ScalarTicket};
 pub use chaos::ChaosPlan;
 pub use engine::{Engine, EngineConfig, JobHandle};
 pub use error::{EngineError, ErrorCode, ERROR_CODES};
@@ -127,7 +121,6 @@ pub use trace::{FlightRecorder, SpanRecord};
 /// Commonly used items in one import.
 pub mod prelude {
     pub use crate::admission::SheddingPolicy;
-    pub use crate::batch::{BatchResult, ScalarOp, ScalarRequest, ScalarTicket};
     pub use crate::chaos::ChaosPlan;
     pub use crate::engine::{Engine, EngineConfig, JobHandle};
     pub use crate::error::{EngineError, ErrorCode};

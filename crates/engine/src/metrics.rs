@@ -331,16 +331,6 @@ pub fn render_prometheus_into(out: &mut String, fleet: &RouterStats) {
             t.jobs_slow as f64,
         ),
         (
-            "hefv_batches_formed_total",
-            "Scalar batches coalesced",
-            t.batches_formed as f64,
-        ),
-        (
-            "hefv_batched_requests_total",
-            "Scalar requests inside those batches",
-            t.batched_requests as f64,
-        ),
-        (
             "hefv_queue_wait_seconds_total",
             "Cumulative queue wait",
             t.queue_wait_ns as f64 / 1e9,

@@ -50,7 +50,9 @@ pub type TenantId = u64;
 /// additions needs no keys at all beyond its inputs.
 #[derive(Clone, Default)]
 pub struct TenantKeys {
-    /// Public key, needed for engine-side encryption (scalar batching).
+    /// Public key. It travels with the key set (registration frames and
+    /// `HEVR` snapshots), but the engine never reads it: it encrypts
+    /// nothing, so clients pack and encrypt their own inputs.
     pub pk: Option<Arc<PublicKey>>,
     /// Relinearization key, needed for `Mul`.
     pub rlk: Option<Arc<RelinKey>>,
@@ -77,8 +79,8 @@ impl TenantKeys {
         }
     }
 
-    /// Key set for linear workloads (add/sub/neg, plaintext products,
-    /// scalar `MulPlain` batches): just the public key.
+    /// Key set for linear workloads (add/sub/neg, plaintext products):
+    /// just the public key.
     pub fn encrypt_only(pk: PublicKey) -> Self {
         TenantKeys {
             pk: Some(Arc::new(pk)),

@@ -77,7 +77,6 @@
 //! router.shutdown();
 //! ```
 
-use crate::batch::{ScalarRequest, ScalarTicket};
 use crate::engine::{Engine, EngineConfig, JobHandle};
 use crate::error::EngineError;
 use crate::registry::{TenantId, TenantKeys};
@@ -1334,33 +1333,6 @@ impl ShardRouter {
     /// See [`ShardRouter::submit`].
     pub fn call(&self, req: EvalRequest) -> Result<EvalResponse, EngineError> {
         self.submit(req)?.wait()
-    }
-
-    /// Routes a scalar request to its tenant's shard for batching.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::submit_scalar`]; additionally fails when the router
-    /// has no shards or the tenant routes to a remote shard (batching
-    /// happens on the owning node).
-    pub fn submit_scalar(&self, req: ScalarRequest) -> Result<ScalarTicket, EngineError> {
-        let shard = self.shard_of(req.tenant)?;
-        match shard.local() {
-            Some(engine) => engine.submit_scalar(req),
-            None => Err(EngineError::Validation(format!(
-                "tenant {} routes to remote shard {}; submit scalars on that node",
-                req.tenant, shard.id
-            ))),
-        }
-    }
-
-    /// Dispatches every partially-filled batch on every local shard.
-    pub fn flush_batches(&self) {
-        for shard in self.all_shards() {
-            if let Some(engine) = shard.local() {
-                engine.flush_batches();
-            }
-        }
     }
 
     /// Routes a serialized `HEVQ` request frame: an explicit shard address

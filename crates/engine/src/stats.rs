@@ -88,8 +88,6 @@ pub struct EngineStats {
     sim_cost_mus: AtomicU64,
     /// Noise bits consumed ×1000.
     noise_bits_milli: AtomicU64,
-    batches_formed: AtomicU64,
-    batched_requests: AtomicU64,
     /// Scratch-arena occupancy gauges, summed over workers (each worker
     /// reports two's-complement deltas; see [`EngineStats::on_arena`]).
     arena_pooled_buffers: AtomicU64,
@@ -210,13 +208,6 @@ impl EngineStats {
         self.jobs_slow.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A scalar batch of `size` requests was coalesced into one job.
-    pub fn on_batch(&self, size: usize) {
-        self.batches_formed.fetch_add(1, Ordering::Relaxed);
-        self.batched_requests
-            .fetch_add(size as u64, Ordering::Relaxed);
-    }
-
     /// Accounts one completed request to its tenant: end-to-end latency
     /// (queue + exec) and estimated noise bits consumed.
     pub fn on_tenant(&self, tenant: u64, latency_ns: u64, noise_bits: f64) {
@@ -297,8 +288,6 @@ impl EngineStats {
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             sim_cost_us: self.sim_cost_mus.load(Ordering::Relaxed) as f64 / 1000.0,
             noise_bits_consumed: self.noise_bits_milli.load(Ordering::Relaxed) as f64 / 1000.0,
-            batches_formed: self.batches_formed.load(Ordering::Relaxed),
-            batched_requests: self.batched_requests.load(Ordering::Relaxed),
             arena_pooled_buffers: self.arena_pooled_buffers.load(Ordering::Relaxed),
             arena_pooled_bytes: self.arena_pooled_bytes.load(Ordering::Relaxed),
             arena_dropped: self.arena_dropped.load(Ordering::Relaxed),
@@ -395,10 +384,6 @@ pub struct StatsSnapshot {
     pub sim_cost_us: f64,
     /// Cumulative estimated noise bits consumed.
     pub noise_bits_consumed: f64,
-    /// Scalar batches coalesced.
-    pub batches_formed: u64,
-    /// Scalar requests inside those batches.
-    pub batched_requests: u64,
     /// Scratch buffers currently pooled across worker arenas (gauge).
     pub arena_pooled_buffers: u64,
     /// Bytes of backing capacity pooled across worker arenas (gauge).
@@ -437,8 +422,6 @@ impl StatsSnapshot {
             exec_ns,
             sim_cost_us,
             noise_bits_consumed,
-            batches_formed,
-            batched_requests,
             arena_pooled_buffers,
             arena_pooled_bytes,
             arena_dropped,
@@ -485,8 +468,6 @@ impl StatsSnapshot {
         self.exec_ns += exec_ns;
         self.sim_cost_us += sim_cost_us;
         self.noise_bits_consumed += noise_bits_consumed;
-        self.batches_formed += batches_formed;
-        self.batched_requests += batched_requests;
         self.arena_pooled_buffers += arena_pooled_buffers;
         self.arena_pooled_bytes += arena_pooled_bytes;
         self.arena_dropped += arena_dropped;
@@ -514,8 +495,6 @@ impl StatsSnapshot {
             exec_ns,
             sim_cost_us,
             noise_bits_consumed,
-            batches_formed,
-            batched_requests,
             arena_pooled_buffers,
             arena_pooled_bytes,
             arena_dropped,
@@ -589,8 +568,6 @@ impl StatsSnapshot {
             ("exec_ns", *exec_ns as f64, Fold::Add),
             ("sim_cost_us", *sim_cost_us, Fold::Add),
             ("noise_bits_consumed", *noise_bits_consumed, Fold::Add),
-            ("batches_formed", *batches_formed as f64, Fold::Add),
-            ("batched_requests", *batched_requests as f64, Fold::Add),
             (
                 "arena_pooled_buffers",
                 *arena_pooled_buffers as f64,
@@ -625,11 +602,7 @@ impl std::fmt::Display for StatsSnapshot {
             self.queue_wait_ns as f64 / 1e6,
             self.sim_cost_us
         )?;
-        writeln!(
-            f,
-            "noise: {:.1} bits consumed; batching: {} requests in {} batches",
-            self.noise_bits_consumed, self.batched_requests, self.batches_formed
-        )?;
+        writeln!(f, "noise: {:.1} bits consumed", self.noise_bits_consumed)?;
         for op in self.per_op.iter().filter(|o| o.count > 0) {
             writeln!(
                 f,
@@ -673,7 +646,6 @@ mod tests {
         s.on_complete(6000, 42.5, 3.25);
         s.on_dequeue(500, SchedLevel::Deadline);
         s.on_fail();
-        s.on_batch(64);
 
         let snap = s.snapshot();
         assert_eq!(snap.jobs_submitted, 2);
@@ -684,7 +656,6 @@ mod tests {
         assert_eq!(snap.exec_ns, 6000);
         assert!((snap.sim_cost_us - 42.5).abs() < 1e-3);
         assert!((snap.noise_bits_consumed - 3.25).abs() < 1e-3);
-        assert_eq!(snap.batched_requests, 64);
 
         let mul = snap.per_op.iter().find(|o| o.name == "mul").unwrap();
         assert_eq!(mul.count, 2);
@@ -809,7 +780,6 @@ mod tests {
         s.on_reject(); // submitted 5 → 4, depth 2 → 1
         s.on_refused();
         s.on_slow();
-        s.on_batch(3);
         s.on_tenant(42, 2000, 1.25);
         for code in [
             ErrorCode::Overload,

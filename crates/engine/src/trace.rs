@@ -3,9 +3,9 @@
 //! Every job carries a trace id — propagated from the `HEVQ` envelope's
 //! reserved trace field when the client set one, generated at admission
 //! otherwise — and, on completion, deposits one [`SpanRecord`] with its
-//! per-phase timing breakdown (`admit → queue → batch → execute →
-//! reply-write`) into the engine's [`FlightRecorder`]: a fixed-size ring
-//! that always holds the most recent spans, plus a second ring fed only
+//! per-phase timing breakdown (`admit → queue → execute → reply`) into
+//! the engine's [`FlightRecorder`]: a fixed-size ring that always holds
+//! the most recent spans, plus a second ring fed only
 //! by jobs that crossed the configured slow-job threshold, so the tail
 //! survives long after the bulk traffic has lapped the main ring.
 //!
@@ -36,8 +36,6 @@ pub struct SpanRecord {
     pub level: &'static str,
     /// Cost-model estimate at admission, microseconds.
     pub est_cost_us: f64,
-    /// Time spent waiting in a scalar batch before submission.
-    pub batch_ns: u64,
     /// Time spent in the job queue.
     pub queue_ns: u64,
     /// Execution wall time.
@@ -50,7 +48,7 @@ impl SpanRecord {
     /// Total observed latency across all recorded phases.
     #[must_use]
     pub fn total_ns(&self) -> u64 {
-        self.batch_ns + self.queue_ns + self.exec_ns + self.reply_ns
+        self.queue_ns + self.exec_ns + self.reply_ns
     }
 }
 
@@ -59,7 +57,7 @@ impl fmt::Display for SpanRecord {
         write!(
             f,
             "trace=0x{:016x} job={} tenant={} worker={} {} level={} \
-             est={:.1}us batch={}ns queue={}ns exec={}ns reply={}ns total={}ns",
+             est={:.1}us queue={}ns exec={}ns reply={}ns total={}ns",
             self.trace_id,
             self.job_id,
             self.tenant,
@@ -67,7 +65,6 @@ impl fmt::Display for SpanRecord {
             if self.ok { "ok" } else { "FAILED" },
             self.level,
             self.est_cost_us,
-            self.batch_ns,
             self.queue_ns,
             self.exec_ns,
             self.reply_ns,
@@ -189,7 +186,6 @@ mod tests {
             ok: true,
             level: "sjf",
             est_cost_us: 1.0,
-            batch_ns: 0,
             queue_ns: 10,
             exec_ns,
             reply_ns: 5,

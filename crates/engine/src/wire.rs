@@ -1489,10 +1489,23 @@ mod tests {
         assert_eq!(info.code, ErrorCode::Validation);
         assert_eq!(info.retry_after_us, None);
 
-        // Unknown codes and unknown flags are rejected, not guessed at.
-        let mut bad = frame.clone();
-        bad[16] = 0xF0; // code byte (after magic 4 | ver 2 | status 1 | shard 1 | job_id 8)
-        assert!(decode_response(&ctx, &bad).is_err());
+        // The code byte sits after magic 4 | ver 2 | status 1 | shard 1 |
+        // job_id 8. Every live code reads back from its own byte.
+        assert_eq!(frame[16], ErrorCode::Validation.as_u8());
+        for code in crate::ERROR_CODES {
+            let mut f = frame.clone();
+            f[16] = code.as_u8();
+            assert_eq!(peek_response_error(&f).unwrap().unwrap().code, code);
+        }
+        // Unknown codes — the retired byte 11 among them — and unknown
+        // flags are rejected as wire errors, not guessed at.
+        let is_wire = |e: EngineError| matches!(e, EngineError::Core(Error::Wire(_)));
+        for byte in [11, 0xF0] {
+            let mut bad = frame.clone();
+            bad[16] = byte;
+            assert!(is_wire(decode_response(&ctx, &bad).unwrap_err()));
+            assert!(is_wire(peek_response_error(&bad).unwrap_err()));
+        }
         let mut bad = frame.clone();
         bad[17] = 0x80; // flags byte
         assert!(peek_response_error(&bad).is_err());

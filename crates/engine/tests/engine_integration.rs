@@ -1,12 +1,13 @@
 //! End-to-end engine tests: multi-tenant isolation, concurrent traffic,
-//! and the batching front-end's mux/demux correctness.
+//! and slot-wise ops on ciphertexts the client packed with `BatchEncoder`.
 
+use hefv_core::encoder::BatchEncoder;
 use hefv_core::eval;
 use hefv_core::galois::GaloisKeySet;
 use hefv_core::prelude::*;
 use hefv_engine::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 fn enc(ctx: &FvContext, pk: &PublicKey, v: u64, rng: &mut StdRng) -> Ciphertext {
@@ -188,17 +189,22 @@ fn engine_mul_is_bit_identical_to_core_on_every_worker_count() {
 
 #[test]
 fn galois_ops_run_through_the_engine() {
-    // t = 7681 ≡ 1 (mod 512) is SIMD-friendly for n = 256.
+    // t = 7681 ≡ 1 (mod 512) is SIMD-friendly for n = 256. The client
+    // packs the slots itself; the engine sees only ciphertexts (and, for
+    // MulPlain, a packed plaintext operand).
     let mut params = FvParams::insecure_medium();
     params.t = 7681;
+    let t = params.t;
     let ctx = Arc::new(FvContext::new(params).unwrap());
     let engine = Engine::start(Arc::clone(&ctx), EngineConfig::default());
     let mut rng = StdRng::seed_from_u64(1003);
     let (sk, pk, rlk) = keygen(&ctx, &mut rng);
     let galois = GaloisKeySet::for_slot_sum(&ctx, &sk, &mut rng);
     engine.register_tenant(1, TenantKeys::full(pk.clone(), rlk, galois));
+    // MulPlain needs no relinearization key at all.
+    engine.register_tenant(2, TenantKeys::encrypt_only(pk.clone()));
 
-    let encdr = engine.batch_encoder().expect("SIMD params");
+    let encdr = BatchEncoder::new(t, ctx.params().n).unwrap();
     let vals: Vec<u64> = (0..encdr.slots() as u64).collect();
     let ct = encrypt(&ctx, &pk, &encdr.encode(&vals), &mut rng);
     let req = EvalRequest {
@@ -210,10 +216,35 @@ fn galois_ops_run_through_the_engine() {
         trace_id: None,
     };
     let resp = engine.call(req).unwrap();
-    let sum: u64 = vals.iter().sum::<u64>() % ctx.params().t;
+    let sum: u64 = vals.iter().sum::<u64>() % t;
     let slots = encdr.decode(&decrypt(&ctx, &sk, &resp.result));
     assert!(slots.iter().all(|&s| s == sum), "every slot holds the sum");
     assert!(resp.report.noise_bits_consumed > 0.0);
+
+    // Slot-wise products of random packed vectors: `Mul` of two
+    // ciphertexts, and `MulPlain` with the right operand in clear.
+    let random = |rng: &mut StdRng| -> Vec<u64> {
+        (0..encdr.slots()).map(|_| rng.gen_range(0..t)).collect()
+    };
+    let (a, b) = (random(&mut rng), random(&mut rng));
+    let want: Vec<u64> = a.iter().zip(&b).map(|(x, y)| x * y % t).collect();
+    let ct_a = encrypt(&ctx, &pk, &encdr.encode(&a), &mut rng);
+    let ct_b = encrypt(&ctx, &pk, &encdr.encode(&b), &mut rng);
+    let mul = EvalRequest::binary(1, EvalOp::Mul, ct_a.clone(), ct_b);
+    let mul_plain = EvalRequest {
+        tenant: 2,
+        inputs: vec![ct_a],
+        plaintexts: vec![encdr.encode(&b)],
+        ops: vec![EvalOp::MulPlain(ValRef::Input(0), 0)],
+        deadline_us: None,
+        trace_id: None,
+    };
+    for (name, req) in [("mul", mul), ("mul_plain", mul_plain)] {
+        let got = encdr.decode(&decrypt(&ctx, &sk, &engine.call(req).unwrap().result));
+        for (slot, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g, w, "{name}: slot {slot}");
+        }
+    }
     engine.shutdown();
 }
 
@@ -235,7 +266,7 @@ fn hoisted_rotation_batches_run_through_the_engine() {
         .collect();
     engine.register_tenant(1, TenantKeys::full(pk.clone(), rlk, galois));
 
-    let encdr = engine.batch_encoder().expect("SIMD params");
+    let encdr = BatchEncoder::new(ctx.params().t, ctx.params().n).unwrap();
     let vals: Vec<u64> = (0..encdr.slots() as u64).map(|v| v % 97).collect();
     let ct = encrypt(&ctx, &pk, &encdr.encode(&vals), &mut rng);
 
@@ -272,182 +303,5 @@ fn hoisted_rotation_batches_run_through_the_engine() {
     let mut expect = vals.clone();
     expect.sort_unstable();
     assert_eq!(sorted, expect, "rotation permutes the slots");
-    engine.shutdown();
-}
-
-#[test]
-fn scalar_mul_plain_batches_skip_the_second_encryption() {
-    let mut params = FvParams::insecure_medium();
-    params.t = 7681;
-    let t = params.t;
-    let ctx = Arc::new(FvContext::new(params).unwrap());
-    let engine = Engine::start(
-        Arc::clone(&ctx),
-        EngineConfig {
-            max_batch: 4,
-            ..EngineConfig::default()
-        },
-    );
-    let mut rng = StdRng::seed_from_u64(1008);
-    let (sk, pk, _rlk) = keygen(&ctx, &mut rng);
-    // MulPlain needs no relinearization key at all.
-    engine.register_tenant(1, TenantKeys::encrypt_only(pk));
-    let encdr = engine.batch_encoder().unwrap().clone();
-
-    let tickets: Vec<_> = (0..4u64)
-        .map(|i| {
-            engine
-                .submit_scalar(ScalarRequest {
-                    tenant: 1,
-                    op: ScalarOp::MulPlain,
-                    lhs: 11 + i,
-                    rhs: 301 + i,
-                })
-                .unwrap()
-        })
-        .collect();
-    for (i, ticket) in tickets.into_iter().enumerate() {
-        let r = ticket.wait().unwrap();
-        let i = i as u64;
-        let slots = encdr.decode(&decrypt(&ctx, &sk, &r.packed));
-        assert_eq!(slots[r.slot], (11 + i) * (301 + i) % t, "request {i}");
-        assert_eq!(r.batch_size, 4);
-    }
-    let stats = engine.stats();
-    assert_eq!(stats.batches_formed, 1);
-    let mul_plain = stats.per_op.iter().find(|o| o.name == "mul_plain").unwrap();
-    assert_eq!(mul_plain.count, 1, "one MulPlain evaluated the batch");
-    engine.shutdown();
-}
-
-#[test]
-fn scalar_batching_muxes_and_demuxes_correctly() {
-    let mut params = FvParams::insecure_medium();
-    params.t = 7681;
-    let t = params.t;
-    let ctx = Arc::new(FvContext::new(params).unwrap());
-    let engine = Engine::start(
-        Arc::clone(&ctx),
-        EngineConfig {
-            max_batch: 8,
-            ..EngineConfig::default()
-        },
-    );
-    let mut rng = StdRng::seed_from_u64(1004);
-    let (sk, pk, rlk) = keygen(&ctx, &mut rng);
-    engine.register_tenant(1, TenantKeys::compute(pk, rlk));
-    let encdr = engine.batch_encoder().unwrap().clone();
-
-    // 10 scalar products: the first 8 dispatch as one full batch, the
-    // remaining 2 on flush — 10 requests, 2 homomorphic evaluations.
-    let tickets: Vec<_> = (0..10u64)
-        .map(|i| {
-            engine
-                .submit_scalar(ScalarRequest {
-                    tenant: 1,
-                    op: ScalarOp::Mul,
-                    lhs: 100 + i,
-                    rhs: 200 + i,
-                })
-                .unwrap()
-        })
-        .collect();
-    engine.flush_batches();
-
-    let mut seen = std::collections::HashSet::new();
-    for (i, ticket) in tickets.into_iter().enumerate() {
-        let r = ticket.wait().unwrap();
-        let i = i as u64;
-        let expect = (100 + i) * (200 + i) % t;
-        let slots = encdr.decode(&decrypt(&ctx, &sk, &r.packed));
-        assert_eq!(slots[r.slot], expect, "request {i} demuxes its own slot");
-        assert!(
-            seen.insert((r.job_id, r.slot)),
-            "two requests mapped to one slot"
-        );
-        assert_eq!(r.batch_size, if i < 8 { 8 } else { 2 });
-    }
-    let stats = engine.stats();
-    assert_eq!(stats.batches_formed, 2, "10 requests coalesced to 2 jobs");
-    assert_eq!(stats.batched_requests, 10);
-    assert_eq!(stats.jobs_completed, 2);
-    engine.shutdown();
-}
-
-#[test]
-fn scalar_batching_is_rejected_without_simd_params() {
-    let ctx = Arc::new(FvContext::new(FvParams::insecure_toy()).unwrap());
-    let engine = Engine::start(Arc::clone(&ctx), EngineConfig::default());
-    let mut rng = StdRng::seed_from_u64(1005);
-    let (_, pk, rlk) = keygen(&ctx, &mut rng);
-    engine.register_tenant(1, TenantKeys::compute(pk, rlk));
-    let err = engine
-        .submit_scalar(ScalarRequest {
-            tenant: 1,
-            op: ScalarOp::Add,
-            lhs: 1,
-            rhs: 2,
-        })
-        .expect_err("t=16 has no SIMD slots");
-    assert!(matches!(err, EngineError::BatchUnsupported(_)));
-    engine.shutdown();
-}
-
-#[test]
-fn batches_never_mix_tenants() {
-    let mut params = FvParams::insecure_medium();
-    params.t = 7681;
-    let t = params.t;
-    let ctx = Arc::new(FvContext::new(params).unwrap());
-    let engine = Engine::start(
-        Arc::clone(&ctx),
-        EngineConfig {
-            max_batch: 4,
-            ..EngineConfig::default()
-        },
-    );
-    let mut rng = StdRng::seed_from_u64(1006);
-    let (sk_a, pk_a, rlk_a) = keygen(&ctx, &mut rng);
-    let (sk_b, pk_b, rlk_b) = keygen(&ctx, &mut rng);
-    engine.register_tenant(1, TenantKeys::compute(pk_a, rlk_a));
-    engine.register_tenant(2, TenantKeys::compute(pk_b, rlk_b));
-
-    // Interleaved submissions from both tenants; same op, so a naive
-    // batcher would mix them into one ciphertext.
-    let tickets: Vec<_> = (0..8u64)
-        .map(|i| {
-            let tenant = 1 + i % 2;
-            (
-                tenant,
-                i,
-                engine
-                    .submit_scalar(ScalarRequest {
-                        tenant,
-                        op: ScalarOp::Add,
-                        lhs: 10 + i,
-                        rhs: 20 + i,
-                    })
-                    .unwrap(),
-            )
-        })
-        .collect();
-    engine.flush_batches();
-    let mut jobs_by_tenant: std::collections::HashMap<u64, std::collections::HashSet<u64>> =
-        Default::default();
-    for (tenant, i, ticket) in tickets {
-        let r = ticket.wait().unwrap();
-        let sk = if tenant == 1 { &sk_a } else { &sk_b };
-        let slots = hefv_core::encoder::BatchEncoder::new(t, ctx.params().n)
-            .unwrap()
-            .decode(&decrypt(&ctx, sk, &r.packed));
-        assert_eq!(slots[r.slot], 30 + 2 * i, "tenant {tenant} request {i}");
-        jobs_by_tenant.entry(tenant).or_default().insert(r.job_id);
-    }
-    let jobs_1 = jobs_by_tenant.remove(&1).unwrap();
-    let jobs_2 = jobs_by_tenant.remove(&2).unwrap();
-    assert!(
-        jobs_1.is_disjoint(&jobs_2),
-        "a shared job would mean tenants were batched together"
-    );
     engine.shutdown();
 }

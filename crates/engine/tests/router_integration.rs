@@ -1,7 +1,7 @@
 //! Router-level integration tests: a mixed workload on a 2-shard fleet
 //! (correct decryptions, fleet cost equal to the estimator's prices),
-//! consistent-hash placement stability under shard add/remove, the batch
-//! linger timer, and shard-addressed frame dispatch.
+//! consistent-hash placement stability under shard add/remove, and
+//! shard-addressed frame dispatch.
 
 use hefv_core::galois::GaloisKeySet;
 use hefv_core::params::FvParams;
@@ -13,7 +13,6 @@ use hefv_engine::wire;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// An n = 1024 ring with three q primes: the full Mult and key-switch
 /// paths at a mid-size shape that still runs quickly in debug builds.
@@ -178,70 +177,6 @@ fn consistent_hash_placement_is_stable_under_shard_changes() {
         .map(|&t| router.shard_for(t).unwrap())
         .collect();
     assert_eq!(after, before, "removal must restore the previous ring");
-    router.shutdown();
-}
-
-#[test]
-fn partial_batches_drain_within_the_linger_latency() {
-    // SIMD-friendly medium params; a batch of up to 8 with a 40 ms linger.
-    let mut params = FvParams::insecure_medium();
-    params.t = 7681;
-    let t = params.t;
-    let ctx = Arc::new(FvContext::new(params).unwrap());
-    let router = ShardRouter::new();
-    router
-        .add_shard(ShardSpec {
-            name: "batched".into(),
-            ctx: Arc::clone(&ctx),
-            config: EngineConfig {
-                workers: 1,
-                max_batch: 8,
-                batch_linger: Some(Duration::from_millis(40)),
-                ..EngineConfig::default()
-            },
-        })
-        .unwrap();
-    let mut rng = StdRng::seed_from_u64(0xBA7C);
-    let (sk, pk, rlk) = keygen(&ctx, &mut rng);
-    router
-        .register_tenant(1, TenantKeys::compute(pk, rlk))
-        .unwrap();
-
-    // Three scalar requests: far from filling the batch of 8, and nobody
-    // ever calls flush_batches() — the linger timer must dispatch them.
-    let started = Instant::now();
-    let tickets: Vec<_> = (0..3u64)
-        .map(|i| {
-            router
-                .submit_scalar(ScalarRequest {
-                    tenant: 1,
-                    op: ScalarOp::Mul,
-                    lhs: 10 + i,
-                    rhs: 20 + i,
-                })
-                .unwrap()
-        })
-        .collect();
-    let encoder = hefv_core::encoder::BatchEncoder::new(t, ctx.params().n).unwrap();
-    for (i, ticket) in tickets.into_iter().enumerate() {
-        let r = ticket.wait().expect("linger timer dispatches the batch");
-        let i = i as u64;
-        assert_eq!(r.batch_size, 3, "all three coalesced into one job");
-        let slots = encoder.decode(&decrypt(&ctx, &sk, &r.packed));
-        assert_eq!(slots[r.slot], (10 + i) * (20 + i) % t);
-    }
-    let waited = started.elapsed();
-    assert!(
-        waited >= Duration::from_millis(20),
-        "a partial batch should linger briefly, not dispatch instantly: {waited:?}"
-    );
-    assert!(
-        waited < Duration::from_secs(5),
-        "linger drain took {waited:?}, timer looks dead"
-    );
-    let stats = router.stats().total;
-    assert_eq!(stats.batches_formed, 1);
-    assert_eq!(stats.batched_requests, 3);
     router.shutdown();
 }
 

@@ -52,9 +52,6 @@ fn replay(stats: &EngineStats, seed: u64, events: usize) {
         }
         let op = OP_KINDS[rng.gen_range(0..OP_KINDS.len())];
         stats.record_op(op, rng.gen_range(1..10_000_000u64));
-        if rng.gen_bool(0.2) {
-            stats.on_batch(rng.gen_range(1..9usize));
-        }
         if rng.gen_bool(0.05) {
             stats.on_slow();
         }

@@ -1,11 +1,11 @@
-//! Thread-lifecycle hygiene: engines (with their batch-linger timers),
-//! routers and net servers must not leak OS threads across repeated
-//! start/stop cycles.
+//! Thread-lifecycle hygiene: engines, routers and net servers must not
+//! leak OS threads across repeated start/stop cycles, and an engine runs
+//! no thread beyond its workers.
 //!
-//! The engine's linger timer and workers, the router's shard engines and
-//! the net server's poll thread are all joined on shutdown; this suite
-//! pins that down by counting the process's live tasks around many
-//! cycles. Linux-only (it reads `/proc/self/task`), which covers CI.
+//! The engine's workers, the router's shard engines and the net server's
+//! poll thread are all joined on shutdown; this suite pins that down by
+//! counting the process's live tasks around many cycles. Linux-only (it
+//! reads `/proc/self/task`), which covers CI.
 
 #![cfg(target_os = "linux")]
 
@@ -104,9 +104,6 @@ fn repeated_engine_start_stop_leaks_no_threads() {
             Arc::clone(&ctx),
             EngineConfig {
                 workers: 3,
-                // A short linger so the timer thread actually ticks
-                // (not just parks) before shutdown joins it.
-                batch_linger: Some(Duration::from_millis(1)),
                 ..EngineConfig::default()
             },
         );
@@ -117,6 +114,32 @@ fn repeated_engine_start_stop_leaks_no_threads() {
     assert!(
         after.len() <= before.len(),
         "thread leak: {before:?} before, {after:?} after 20 engine cycles"
+    );
+}
+
+#[test]
+fn engine_runs_exactly_its_workers_on_batching_parameters() {
+    let _guard = serial();
+    // t = 7681 ≡ 1 (mod 2n) gives n = 256 SIMD slots: the engine must
+    // still start nothing but its workers.
+    let mut params = FvParams::insecure_medium();
+    params.t = 7681;
+    assert!(params.supports_batching());
+    let ctx = Arc::new(FvContext::new(params).unwrap());
+    let config = EngineConfig {
+        workers: 3,
+        ..EngineConfig::default()
+    };
+    // Warm up allocator/runtime threads before taking the baseline.
+    Engine::start(Arc::clone(&ctx), config.clone()).shutdown();
+    let before = live_threads();
+    let engine = Engine::start(ctx, config);
+    let running = live_threads();
+    engine.shutdown();
+    assert_eq!(
+        running.len(),
+        before.len() + 3,
+        "an engine of 3 workers runs exactly 3 threads: {before:?} before, {running:?} running"
     );
 }
 
@@ -133,7 +156,6 @@ fn repeated_router_and_server_start_stop_leaks_no_threads() {
                     ctx: Arc::clone(&ctx),
                     config: EngineConfig {
                         workers: 2,
-                        batch_linger: Some(Duration::from_millis(1)),
                         ..EngineConfig::default()
                     },
                 })
@@ -189,7 +211,10 @@ fn chaos_panic_cycles_leak_no_threads_fds_or_replies() {
     let mut rng = StdRng::seed_from_u64(77);
     let (_sk, pk, rlk) = keygen(&ctx, &mut rng);
     let (t, n) = (ctx.params().t, ctx.params().n);
-    const TTL: Duration = Duration::from_millis(20);
+    // Long enough that the quarantine cannot lapse during a cycle's 8
+    // calls on a loaded host: the requests are encrypted up front, so the
+    // calls do nothing but evaluate and refuse.
+    const TTL: Duration = Duration::from_millis(200);
     let cycle = |rng: &mut StdRng| {
         let engine = Engine::start(
             Arc::clone(&ctx),
@@ -210,9 +235,12 @@ fn chaos_panic_cycles_leak_no_threads_fds_or_replies() {
         engine.register_tenant(1, TenantKeys::compute(pk.clone(), rlk.clone()));
         let enc =
             |v: u64, rng: &mut StdRng| encrypt(&ctx, &pk, &Plaintext::new(vec![v], t, n), rng);
+        let reqs: Vec<EvalRequest> = (0..8)
+            .map(|_| EvalRequest::binary(1, EvalOp::Mul, enc(2, rng), enc(3, rng)))
+            .collect();
+        let after_expiry = EvalRequest::binary(1, EvalOp::Mul, enc(4, rng), enc(5, rng));
         let (mut panicked, mut quarantined) = (0u32, 0u32);
-        for _ in 0..8 {
-            let req = EvalRequest::binary(1, EvalOp::Mul, enc(2, rng), enc(3, rng));
+        for req in reqs {
             // Exactly one answer per submission: a refusal at the door
             // or a (failed) reply from the worker. A lost correlation
             // would hang `call` forever — the suite timeout catches it.
@@ -230,9 +258,11 @@ fn chaos_panic_cycles_leak_no_threads_fds_or_replies() {
         // (and panics) again, and the gauge self-corrects on scrape.
         std::thread::sleep(TTL + Duration::from_millis(10));
         assert_eq!(engine.stats().quarantine_active, 0, "TTL sweep");
-        let req = EvalRequest::binary(1, EvalOp::Mul, enc(4, rng), enc(5, rng));
         assert_eq!(
-            engine.call(req).expect_err("still panicking").code(),
+            engine
+                .call(after_expiry)
+                .expect_err("still panicking")
+                .code(),
             ErrorCode::Internal,
             "expired quarantine admits the signature again"
         );

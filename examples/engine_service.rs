@@ -2,13 +2,15 @@
 //!
 //! Two tenants share one engine. Each registers its own key material, then
 //! drives the engine concurrently with (a) op-graph jobs over its own
-//! encrypted inputs and (b) scalar requests that the batching front-end
-//! coalesces into slot-packed ciphertexts. Every result is decrypted with
+//! encrypted inputs and (b) scalar products it packs into SIMD slots
+//! itself with `BatchEncoder`: one encrypted `Mul` computes all of them.
+//! The engine only ever sees ciphertexts. Every result is decrypted with
 //! the owning tenant's secret key and checked against the plaintext
 //! reference.
 //!
 //! Run with: `cargo run --release --example engine_service`
 
+use hefv::core::encoder::BatchEncoder;
 use hefv::core::galois::GaloisKeySet;
 use hefv::core::prelude::*;
 use hefv::engine::prelude::*;
@@ -32,16 +34,16 @@ fn main() -> Result<(), String> {
         Arc::clone(&ctx),
         EngineConfig {
             workers: 2,
-            max_batch: 8,
             ..EngineConfig::default()
         },
     );
+    let encoder = BatchEncoder::new(t, ctx.params().n)?;
     println!(
         "engine: {} workers over n={}, t={} ({} SIMD slots)",
         engine.workers(),
         ctx.params().n,
         t,
-        engine.batch_encoder().map(|e| e.slots()).unwrap_or(0)
+        encoder.slots()
     );
 
     // --- Tenant onboarding: independent keys, one registry. -------------
@@ -89,34 +91,24 @@ fn main() -> Result<(), String> {
         );
     }
 
-    // --- Batched scalar traffic: coalesced per (tenant, op). ------------
-    let mut tickets = Vec::new();
-    for i in 0..8u64 {
-        for tenant in &tenants {
-            let (lhs, rhs) = (10 + i + tenant.id, 20 + 2 * i);
-            tickets.push((
-                tenant.id,
-                lhs * rhs % t,
-                engine
-                    .submit_scalar(ScalarRequest {
-                        tenant: tenant.id,
-                        op: ScalarOp::Mul,
-                        lhs,
-                        rhs,
-                    })
-                    .map_err(String::from)?,
-            ));
+    // --- Client-side packing: each tenant's 8 products in one Mul. -------
+    let mut packed = Vec::new();
+    for tenant in &tenants {
+        let lhs: Vec<u64> = (0..8).map(|i| 10 + i + tenant.id).collect();
+        let rhs: Vec<u64> = (0..8).map(|i| 20 + 2 * i).collect();
+        let want: Vec<u64> = lhs.iter().zip(&rhs).map(|(a, b)| a * b % t).collect();
+        let mut enc = |v: &[u64]| encrypt(&ctx, &tenant.pk, &encoder.encode(v), &mut rng);
+        let req = EvalRequest::binary(tenant.id, EvalOp::Mul, enc(&lhs), enc(&rhs));
+        packed.push((tenant, want, engine.submit(req).map_err(String::from)?));
+    }
+    for (tenant, want, handle) in packed {
+        let resp = handle.wait().map_err(String::from)?;
+        let slots = encoder.decode(&decrypt(&ctx, &tenant.sk, &resp.result));
+        for (slot, expect) in want.iter().enumerate() {
+            assert_eq!(slots[slot], *expect, "tenant {} slot {slot}", tenant.id);
         }
     }
-    engine.flush_batches();
-    let encoder = engine.batch_encoder().expect("SIMD params").clone();
-    for (tenant_id, expect, ticket) in tickets {
-        let r = ticket.wait().map_err(String::from)?;
-        let tenant = tenants.iter().find(|t| t.id == tenant_id).unwrap();
-        let slots = encoder.decode(&decrypt(&ctx, &tenant.sk, &r.packed));
-        assert_eq!(slots[r.slot], expect, "tenant {tenant_id} slot {}", r.slot);
-    }
-    println!("16 scalar products verified via slot-packed batches");
+    println!("16 scalar products verified: 8 per tenant, one packed Mul each");
 
     println!("\n--- engine telemetry ---\n{}", engine.stats());
     engine.shutdown();
